@@ -135,11 +135,7 @@ def cmd_simulate(args) -> int:
 def _read_pvalue_table(path, need_group: bool) -> tuple:
     """(header, rows, pvalues, labels) from a CSV with a pvalue column and,
     when needed, a group column.  Errors carry 1-based line numbers."""
-    try:
-        fh = open(path, "r", encoding="utf-8", newline="")
-    except OSError:
-        raise
-    with fh:
+    with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -4,8 +4,10 @@ Sampling model per replication: Y_i = mu_i + sqrt(1-rho)*X_i + sqrt(rho)*X0
 with X0, X1..Xm iid standard normal and p_i = 1 - cdf(Y_i).  Every
 replication owns a counter-based RNG substream keyed by (seed, rep_index), so
 results are bit-identical for a fixed seed no matter how replications are
-scheduled across threads; the reduction always runs over the replication
-array in index order.
+scheduled across threads or split into sampling blocks; the reduction always
+runs over the replication array in index order.  A block stacks its
+replications' uniforms into one matrix and pushes it through the quantile in
+one call; the procedure still runs once per replication.
 
 Uniforms are drawn as lattice midpoints (k + 0.5)/2^53 and pushed through the
 package quantile, so normal variates inherit the audited inverse-CDF path and
@@ -36,6 +38,9 @@ DEFAULTS_SOURCE = "builtin-defaults"
 _P_FLOOR = 1e-300
 _P_CEIL = float(np.nextafter(1.0, 0.0))
 _U_DENOM = float(2 ** 53)
+# Cap on the uniforms one sampled block holds (m + 1 per replication, at
+# least one replication): 256 KiB per float64 array of the block.
+_BLOCK_ELEMENTS = 2 ** 15
 
 
 class ConfigError(ValueError):
@@ -143,30 +148,42 @@ class SimSummary:
     config: SimConfig
 
 
-def _substream(seed: int, rep_index: int) -> np.random.Generator:
-    key = np.array([int(seed) % (2 ** 64), int(rep_index) % (2 ** 64)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def _uniforms(seed: int, index: int, n: int) -> np.ndarray:
+    """n lattice-midpoint uniforms (k + 0.5)/2^53 from the Philox stream keyed
+    (seed, index).  k is the raw 64-bit word shifted right by 11, which is
+    exactly what Generator.integers(0, 2**53) returns: with a power-of-two
+    range its bounded draw never rejects a word."""
+    key = np.array([int(seed) % (2 ** 64), int(index) % (2 ** 64)], dtype=np.uint64)
+    words = np.random.Philox(key=key).random_raw(n)
+    return ((words >> np.uint64(11)).astype(float) + 0.5) / _U_DENOM
 
 
-def _uniform_open(gen: np.random.Generator, n: int) -> np.ndarray:
-    return (gen.integers(0, 2 ** 53, size=n).astype(float) + 0.5) / _U_DENOM
+def _sample_block(config: SimConfig, lo: int, hi: int, x0: Optional[float] = None) -> np.ndarray:
+    """(hi - lo, m) matrix of y for replications lo..hi-1.
+
+    Row r - lo holds replication r's draws from its own (seed, r) stream, so
+    a row does not depend on which block it was sampled in.  With x0 None the
+    stream's first draw is X0 (m + 1 draws per row); otherwise the shared
+    factor is pinned at x0 (m draws).  One quantile call covers the block.
+    """
+    width = config.m + 1 if x0 is None else config.m
+    u = np.empty((hi - lo, width))
+    for i in range(hi - lo):
+        u[i] = _uniforms(config.seed, lo + i, width)
+    z = norm_quantile(u)
+    if x0 is None:
+        x0, z = z[:, :1], z[:, 1:]
+    return config.mu_vector() + math.sqrt(1.0 - config.rho) * z + math.sqrt(config.rho) * x0
 
 
 def generate_sample(config: SimConfig, rep_index: int) -> tuple:
     """(y, is_null) for one replication; X0 is the substream's first draw."""
-    gen = _substream(config.seed, rep_index)
-    z = norm_quantile(_uniform_open(gen, config.m + 1))
-    x0, x = z[0], z[1:]
-    y = config.mu_vector() + math.sqrt(1.0 - config.rho) * x + math.sqrt(config.rho) * x0
-    return y, config.null_mask()
+    return _sample_block(config, rep_index, rep_index + 1)[0], config.null_mask()
 
 
 def generate_sample_conditional(config: SimConfig, rep_index: int, x0: float) -> tuple:
     """Same model with the shared factor pinned at x0 (m draws, no X0 draw)."""
-    gen = _substream(config.seed, rep_index)
-    x = norm_quantile(_uniform_open(gen, config.m))
-    y = config.mu_vector() + math.sqrt(1.0 - config.rho) * x + math.sqrt(config.rho) * x0
-    return y, config.null_mask()
+    return _sample_block(config, rep_index, rep_index + 1, float(x0))[0], config.null_mask()
 
 
 def pvalues_from_sample(y) -> np.ndarray:
@@ -198,27 +215,35 @@ def _bound_or_none(config: SimConfig) -> Optional[float]:
     return None
 
 
-def _mc_loop(config: SimConfig, threads: int, sample_fn) -> SimSummary:
+def _worker_count(threads: int) -> int:
+    """Requested worker threads clamped to [1, os.cpu_count()]."""
+    return max(1, min(int(threads), os.cpu_count() or 1))
+
+
+def _mc_loop(config: SimConfig, threads: int, x0: Optional[float] = None) -> SimSummary:
     reps = config.replications
     groups = config.groups()
     is_null = config.null_mask()
     n_alt = config.n_alternatives()
     fdp = np.empty(reps)
     tpp = np.empty(reps)
+    rows = max(1, _BLOCK_ELEMENTS // (config.m + 1))
 
     def fill(lo: int, hi: int) -> None:
-        for r in range(lo, hi):
-            y, _ = sample_fn(config, r)
-            res = _apply_procedure(config, groups, pvalues_from_sample(y))
-            if res.k_star == 0:
-                fdp[r] = 0.0
-                tpp[r] = 0.0
-            else:
-                v = int(is_null[list(res.rejected)].sum())
-                fdp[r] = v / res.k_star
-                tpp[r] = (res.k_star - v) / max(n_alt, 1)
+        for start in range(lo, hi, rows):
+            stop = min(start + rows, hi)
+            p = pvalues_from_sample(_sample_block(config, start, stop, x0))
+            for r in range(start, stop):
+                res = _apply_procedure(config, groups, p[r - start])
+                if res.k_star == 0:
+                    fdp[r] = 0.0
+                    tpp[r] = 0.0
+                else:
+                    v = int(is_null[list(res.rejected)].sum())
+                    fdp[r] = v / res.k_star
+                    tpp[r] = (res.k_star - v) / max(n_alt, 1)
 
-    threads = max(1, int(threads))
+    threads = _worker_count(threads)
     if threads == 1 or reps < 2 * threads:
         fill(0, reps)
     else:
@@ -243,18 +268,13 @@ def _mc_loop(config: SimConfig, threads: int, sample_fn) -> SimSummary:
 
 def run_mc(config: SimConfig, threads: int = 1) -> SimSummary:
     """Run the campaign; deterministic for a fixed seed at any thread count."""
-    return _mc_loop(config, threads, generate_sample)
+    return _mc_loop(config, threads)
 
 
 def run_mc_conditional(config: SimConfig, x0: float, threads: int = 1) -> SimSummary:
     """Run the campaign with the shared factor pinned at x0.  The attached
     bound_value is None: the closed form speaks to the marginal model."""
-    sampler = lambda cfg, r: generate_sample_conditional(cfg, r, x0)
-    summary = _mc_loop(config, threads, sampler)
-    return SimSummary(fdr_hat=summary.fdr_hat, fdr_se=summary.fdr_se,
-                      power_hat=summary.power_hat, power_se=summary.power_se,
-                      bound_value=None, replications_run=summary.replications_run,
-                      config=config)
+    return replace(_mc_loop(config, threads, float(x0)), bound_value=None)
 
 
 # --- flat key=value config files ------------------------------------------

@@ -24,14 +24,13 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import log_ndtr
 
 from .bound import (DomainError, ab_from_rho, exact_p_conditional,
                     integrals_closed, m_factor, rho_max)
 from .normal import SQRT_2PI, norm_cdf, phi
 from .procedures import GroupedPValues, gbh1
-from .simulator import SimConfig, _substream, _uniform_open, pvalues_from_sample
+from .simulator import SimConfig, _uniforms, pvalues_from_sample
 from .normal import norm_quantile
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -174,6 +173,9 @@ def quad_integrals(a: float) -> tuple:
     """Adaptive-quadrature values of the seven integrals (QUADPACK, embedded
     error estimate, relative target 1e-8).  Raises QuadratureError naming the
     integral whose estimated error misses the target."""
+    # Imported here: scipy.integrate is slow to load and only this audit needs it.
+    from scipy.integrate import quad
+
     integrals_closed(a)  # reuse the named domain checks
     out = []
     for name, f, (lo, hi) in _integrands(a):
@@ -195,8 +197,8 @@ def quad_integrals(a: float) -> tuple:
 def _conditional_pvalue_matrix(config: SimConfig, x0: float, tag: int) -> np.ndarray:
     """(replications, m) conditional null-model p-values from one dedicated
     substream keyed (seed, tag); deterministic given the config."""
-    gen = _substream(config.seed, tag)
-    u = _uniform_open(gen, config.replications * config.m).reshape(config.replications, config.m)
+    u = _uniforms(config.seed, tag, config.replications * config.m).reshape(
+        config.replications, config.m)
     z = norm_quantile(u)
     y = config.mu_vector()[None, :] + math.sqrt(1.0 - config.rho) * z \
         + math.sqrt(config.rho) * x0
