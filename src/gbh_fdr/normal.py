@@ -76,7 +76,7 @@ _ACKLAM_D = (7.784695709041462e-03, 3.224671290700398e-01,
 _ACKLAM_SPLIT = 0.02425
 
 
-def _acklam_central(p: np.ndarray) -> np.ndarray:
+def _acklam_central(p):
     a, b = _ACKLAM_A, _ACKLAM_B
     q = p - 0.5
     r = q * q
@@ -85,7 +85,7 @@ def _acklam_central(p: np.ndarray) -> np.ndarray:
     return num * q / den
 
 
-def _acklam_tail(p: np.ndarray) -> np.ndarray:
+def _acklam_tail(p):
     # Lower tail; callers mirror for the upper one.
     c, d = _ACKLAM_C, _ACKLAM_D
     q = np.sqrt(-2.0 * np.log(p))
@@ -100,6 +100,8 @@ def norm_quantile(p):
     Acklam's approximation plus one Newton step x -= (cdf(x)-p)/phi(x).
     Rejects arguments outside [0, 1] and NaN.
     """
+    if _scalar_in(p):
+        return _quantile_scalar(float(p))
     arr = np.asarray(p, dtype=float)
     if np.isnan(arr).any() or (arr < 0.0).any() or (arr > 1.0).any():
         raise ValueError("norm_quantile: p must lie in [0, 1]")
@@ -113,29 +115,45 @@ def norm_quantile(p):
     mirror = flat > 0.5
     pm = np.where(mirror, 1.0 - flat, flat)
 
-    out = np.empty_like(pm)
-    edge = pm == 0.0
-    tail = (~edge) & (pm < _ACKLAM_SPLIT)
-    mid = ~(edge | tail)
-
-    out[edge] = -np.inf
+    out = _acklam_central(pm)
+    tail = pm < _ACKLAM_SPLIT
     if tail.any():
+        edge = pm == 0.0
+        tail &= ~edge
         out[tail] = _acklam_tail(pm[tail])
-    if mid.any():
-        out[mid] = _acklam_central(pm[mid])
+        out[edge] = -np.inf
 
-    finite = np.isfinite(out)
-    if finite.any():
-        x = out[finite]
+    # Newton is only safe where the density has not underflowed; beyond
+    # |x| ~ 38 the raw approximation is already the best we can do.  At the
+    # -inf sentinel the density is 0 too, so the step is 0 there.
+    dens = _INV_SQRT_2PI * np.exp(-0.5 * out * out)
+    cdf = 0.5 * erfc(-out * _INV_SQRT_2)
+    live = dens > 0.0
+    if live.all():  # the masked form costs several passes more
+        out -= (cdf - pm) / dens
+    else:
+        out -= np.where(live, (cdf - pm) / np.where(live, dens, 1.0), 0.0)
+
+    np.negative(out, out=out, where=mirror)
+    return out.reshape(shape)
+
+
+def _quantile_scalar(p: float) -> float:
+    """norm_quantile for one float: the array path's arithmetic, element for
+    element, without the masks.  Transcendentals go through numpy and scipy
+    so that every bit matches the array path."""
+    if not (0.0 <= p <= 1.0):
+        raise ValueError("norm_quantile: p must lie in [0, 1]")
+    mirror = p > 0.5
+    pm = 1.0 - p if mirror else p
+    if pm == 0.0:
+        x = -math.inf
+    else:
+        x = _acklam_tail(pm) if pm < _ACKLAM_SPLIT else _acklam_central(pm)
         dens = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
-        cdf = 0.5 * erfc(-x * _INV_SQRT_2)
-        # Newton is only safe where the density has not underflowed; beyond
-        # |x| ~ 38 the raw approximation is already the best we can do.
-        step = np.where(dens > 0.0, (cdf - pm[finite]) / np.where(dens > 0.0, dens, 1.0), 0.0)
-        out[finite] = x - step
-
-    res = np.where(mirror, -out, out).reshape(shape)
-    return float(res) if _scalar_in(p) else res
+        if dens > 0.0:
+            x = x - (0.5 * erfc(-x * _INV_SQRT_2) - pm) / dens
+    return float(-x if mirror else x)
 
 
 def tail_lower_bound(x):

@@ -18,6 +18,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
+_PARTITION_MESSAGE = "GroupedPValues: groups must partition the index range exactly"
+
+
+def _validate_pvalues(pvalues, who: str) -> np.ndarray:
+    """pvalues as a float array; rejects anything but a nonempty 1-d vector
+    with every entry in [0, 1].  NaN fails both comparisons."""
+    p = np.asarray(pvalues, dtype=float)
+    if p.ndim != 1 or p.size == 0:
+        raise ValueError(f"{who}: pvalues must be a nonempty 1-d vector")
+    if not (p.min() >= 0.0 and p.max() <= 1.0):
+        raise ValueError(f"{who}: every p-value must lie in [0, 1]")
+    return p
+
 
 @dataclass(frozen=True, eq=False)
 class GroupedPValues:
@@ -31,11 +44,7 @@ class GroupedPValues:
     groups: tuple
 
     def __post_init__(self):
-        p = np.asarray(self.pvalues, dtype=float)
-        if p.ndim != 1 or p.size == 0:
-            raise ValueError("GroupedPValues: pvalues must be a nonempty 1-d vector")
-        if np.isnan(p).any() or (p < 0.0).any() or (p > 1.0).any():
-            raise ValueError("GroupedPValues: every p-value must lie in [0, 1]")
+        p = _validate_pvalues(self.pvalues, "GroupedPValues")
         if len(self.groups) == 0:
             raise ValueError("GroupedPValues: at least one group is required")
         groups = tuple(np.asarray(g, dtype=np.intp).ravel() for g in self.groups)
@@ -44,13 +53,29 @@ class GroupedPValues:
                 raise ValueError("GroupedPValues: empty groups are not allowed")
         flat = np.concatenate(groups)
         if flat.size != p.size or not np.array_equal(np.sort(flat), np.arange(p.size)):
-            raise ValueError("GroupedPValues: groups must partition the index range exactly")
+            raise ValueError(_PARTITION_MESSAGE)
         labels = np.empty(p.size, dtype=np.intp)
         for j, g in enumerate(groups):
             labels[g] = j
         object.__setattr__(self, "pvalues", p)
         object.__setattr__(self, "groups", groups)
         object.__setattr__(self, "_labels", labels)
+
+    def with_pvalues(self, pvalues) -> "GroupedPValues":
+        """The same partition over new p-values.
+
+        The groups and labels are shared with this instance, not copied or
+        re-checked; only the p-values are validated.  Equal to
+        GroupedPValues(pvalues, self.groups) in every field.
+        """
+        p = _validate_pvalues(pvalues, "GroupedPValues")
+        if p.size != self.m:
+            raise ValueError(_PARTITION_MESSAGE)
+        out = object.__new__(type(self))
+        object.__setattr__(out, "pvalues", p)
+        object.__setattr__(out, "groups", self.groups)
+        object.__setattr__(out, "_labels", self._labels)
+        return out
 
     @property
     def m(self) -> int:
@@ -116,7 +141,7 @@ def _validate_scores(scores) -> np.ndarray:
     s = np.asarray(scores, dtype=float)
     if s.ndim != 1 or s.size == 0:
         raise ValueError("scores must be a nonempty 1-d vector")
-    if np.isnan(s).any() or (s < 0.0).any():
+    if not s.min() >= 0.0:
         raise ValueError("scores must be >= 0 (inf allowed, NaN not)")
     return s
 
@@ -135,7 +160,7 @@ def bh_step_up(scores, alpha: float) -> RejectionResult:
     ok = np.nonzero(sorted_s <= thresholds)[0]
     k_star = int(ok[-1] + 1) if ok.size else 0
     threshold = k_star * alpha / m
-    rejected = tuple(int(i) for i in np.nonzero(s <= threshold)[0]) if k_star else ()
+    rejected = tuple(np.flatnonzero(s <= threshold).tolist()) if k_star else ()
     return RejectionResult(rejected=rejected, k_star=k_star, threshold=threshold,
                            weighted_pvalues=s)
 
@@ -168,16 +193,11 @@ def gbh1_weights(gp: GroupedPValues, lam: float) -> GBHWeights:
     _validate_lambda(lam)
     p = gp.pvalues
     m, g = gp.m, gp.g
-    r_per_group = tuple(int(np.count_nonzero(p[idx] <= lam)) for idx in gp.groups)
+    r_per_group = tuple(np.bincount(gp.labels[p <= lam], minlength=g).tolist())
     r_total = sum(r_per_group)
-    w = []
-    for j, idx in enumerate(gp.groups):
-        n_j, r_j = idx.size, r_per_group[j]
-        if r_j == 0:
-            w.append(math.inf)
-        else:
-            w.append((n_j - r_j + 1) * (r_total + g - 1) / (m * (1.0 - lam) * r_j))
-    return GBHWeights(w=tuple(w), r_total=r_total, r_per_group=r_per_group)
+    w = tuple((n_j - r_j + 1) * (r_total + g - 1) / (m * (1.0 - lam) * r_j) if r_j else math.inf
+              for n_j, r_j in zip(gp.group_sizes, r_per_group))
+    return GBHWeights(w=w, r_total=r_total, r_per_group=r_per_group)
 
 
 def gbh1_weights_loo(gp: GroupedPValues, lam: float, k: int) -> GBHWeights:
@@ -221,11 +241,9 @@ def gbh1(gp: GroupedPValues, lam: float, alpha: float) -> RejectionResult:
     """
     wts = gbh1_weights(gp, lam)
     w_by_index = np.asarray(wts.w, dtype=float)[gp.labels]
-    infinite = np.isinf(w_by_index)
-    if infinite.any():
-        assert (gp.pvalues[infinite] > lam).all()
-    scores = np.where(infinite, np.inf, gp.pvalues * np.where(infinite, 1.0, w_by_index))
-    return bh_step_up(scores, alpha)
+    if math.inf in wts.w:
+        assert (gp.pvalues[np.isinf(w_by_index)] > lam).all()
+    return bh_step_up(gp.pvalues * w_by_index, alpha)
 
 
 def storey(pvalues, lam: float, alpha: float) -> RejectionResult:
@@ -233,11 +251,7 @@ def storey(pvalues, lam: float, alpha: float) -> RejectionResult:
     null fraction (m - R + 1)/(m(1-lambda)) and step up at alpha."""
     _validate_lambda(lam)
     _validate_alpha(alpha)
-    p = np.asarray(pvalues, dtype=float)
-    if p.ndim != 1 or p.size == 0:
-        raise ValueError("storey: pvalues must be a nonempty 1-d vector")
-    if np.isnan(p).any() or (p < 0.0).any() or (p > 1.0).any():
-        raise ValueError("storey: every p-value must lie in [0, 1]")
+    p = _validate_pvalues(pvalues, "storey")
     m = p.size
     r = int(np.count_nonzero(p <= lam))
     w = (m - r + 1) / (m * (1.0 - lam))

@@ -18,6 +18,7 @@ at the representable edges (1e-300 and 1 - 2^-53).
 from __future__ import annotations
 
 import math
+import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -100,7 +101,10 @@ class SimConfig:
             raise ConfigError(f"procedure={self.procedure!r} not one of {PROCEDURES}")
         if self.replications < 1:
             raise ConfigError(f"replications={self.replications} must be >= 1")
-        int(self.seed)
+        try:
+            object.__setattr__(self, "seed", operator.index(self.seed))
+        except TypeError:
+            raise ConfigError(f"seed={self.seed!r} must be an integer") from None
 
     def groups(self) -> tuple:
         out, start = [], 0
@@ -148,14 +152,43 @@ class SimSummary:
     config: SimConfig
 
 
-def _uniforms(seed: int, index: int, n: int) -> np.ndarray:
-    """n lattice-midpoint uniforms (k + 0.5)/2^53 from the Philox stream keyed
-    (seed, index).  k is the raw 64-bit word shifted right by 11, which is
-    exactly what Generator.integers(0, 2**53) returns: with a power-of-two
-    range its bounded draw never rejects a word."""
-    key = np.array([int(seed) % (2 ** 64), int(index) % (2 ** 64)], dtype=np.uint64)
-    words = np.random.Philox(key=key).random_raw(n)
+def _lattice(words: np.ndarray) -> np.ndarray:
+    """Raw Philox words -> lattice-midpoint uniforms (k + 0.5)/2^53.  k is the
+    word shifted right by 11, which is exactly what
+    Generator.integers(0, 2**53) returns: with a power-of-two range its
+    bounded draw never rejects a word."""
     return ((words >> np.uint64(11)).astype(float) + 0.5) / _U_DENOM
+
+
+def _block_words(seed: int, lo: int, hi: int, width: int) -> np.ndarray:
+    """(hi - lo, width) raw Philox words; row r - lo starts the stream keyed
+    (seed, r).
+
+    One Philox serves the whole block.  For each later row it is re-keyed by
+    assigning it the state a fresh Philox(key=[seed, r]) starts in: counter
+    zero and an empty buffer.  Constructing one per row would give the same
+    words but also gather OS entropy for a SeedSequence that a keyed Philox
+    never uses.
+    """
+    key = np.array([int(seed) % (2 ** 64), int(lo) % (2 ** 64)], dtype=np.uint64)
+    bitgen = np.random.Philox(key=key)
+    words = np.empty((hi - lo, width), dtype=np.uint64)
+    words[0] = bitgen.random_raw(width)
+    if hi - lo > 1:
+        fresh = {"bit_generator": "Philox",
+                 "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+                 "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+                 "has_uint32": 0, "uinteger": 0}
+        for i in range(1, hi - lo):
+            key[1] = (lo + i) % (2 ** 64)
+            bitgen.state = fresh
+            words[i] = bitgen.random_raw(width)
+    return words
+
+
+def _uniforms(seed: int, index: int, n: int) -> np.ndarray:
+    """n lattice uniforms from the Philox stream keyed (seed, index)."""
+    return _lattice(_block_words(seed, index, index + 1, n)[0])
 
 
 def _sample_block(config: SimConfig, lo: int, hi: int, x0: Optional[float] = None) -> np.ndarray:
@@ -167,10 +200,7 @@ def _sample_block(config: SimConfig, lo: int, hi: int, x0: Optional[float] = Non
     factor is pinned at x0 (m draws).  One quantile call covers the block.
     """
     width = config.m + 1 if x0 is None else config.m
-    u = np.empty((hi - lo, width))
-    for i in range(hi - lo):
-        u[i] = _uniforms(config.seed, lo + i, width)
-    z = norm_quantile(u)
+    z = norm_quantile(_lattice(_block_words(config.seed, lo, hi, width)))
     if x0 is None:
         x0, z = z[:, :1], z[:, 1:]
     return config.mu_vector() + math.sqrt(1.0 - config.rho) * z + math.sqrt(config.rho) * x0
@@ -201,9 +231,10 @@ def false_discovery_proportion(result: RejectionResult, is_null) -> float:
     return v / result.k_star
 
 
-def _apply_procedure(config: SimConfig, groups: tuple, p: np.ndarray) -> RejectionResult:
+def _apply_procedure(config: SimConfig, partition: GroupedPValues,
+                     p: np.ndarray) -> RejectionResult:
     if config.procedure == "gbh1":
-        return gbh1(GroupedPValues(p, groups), config.lam, config.alpha)
+        return gbh1(partition.with_pvalues(p), config.lam, config.alpha)
     if config.procedure == "storey":
         return storey(p, config.lam, config.alpha)
     return bh_step_up(p, config.alpha)
@@ -222,7 +253,9 @@ def _worker_count(threads: int) -> int:
 
 def _mc_loop(config: SimConfig, threads: int, x0: Optional[float] = None) -> SimSummary:
     reps = config.replications
-    groups = config.groups()
+    # The groups are fixed for the campaign: check the partition once, then
+    # give each replication its p-values through with_pvalues.
+    partition = GroupedPValues(np.ones(config.m), config.groups())
     is_null = config.null_mask()
     n_alt = config.n_alternatives()
     fdp = np.empty(reps)
@@ -234,12 +267,12 @@ def _mc_loop(config: SimConfig, threads: int, x0: Optional[float] = None) -> Sim
             stop = min(start + rows, hi)
             p = pvalues_from_sample(_sample_block(config, start, stop, x0))
             for r in range(start, stop):
-                res = _apply_procedure(config, groups, p[r - start])
+                res = _apply_procedure(config, partition, p[r - start])
                 if res.k_star == 0:
                     fdp[r] = 0.0
                     tpp[r] = 0.0
                 else:
-                    v = int(is_null[list(res.rejected)].sum())
+                    v = int(np.count_nonzero(is_null.take(res.rejected)))
                     fdp[r] = v / res.k_star
                     tpp[r] = (res.k_star - v) / max(n_alt, 1)
 

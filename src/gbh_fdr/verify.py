@@ -220,10 +220,10 @@ def check_rejection_expectation(config: SimConfig, x0: float, c: float) -> Verif
         raise ValueError("config must contain at least one null hypothesis")
     k = int(nulls[0])
     pmat = _conditional_pvalue_matrix(config, x0, tag=1)
-    groups = config.groups()
+    partition = GroupedPValues(pmat[0], config.groups())
     terms = np.zeros(config.replications)
     for r in range(config.replications):
-        res = gbh1(GroupedPValues(pmat[r], groups), config.lam, config.alpha)
+        res = gbh1(partition.with_pvalues(pmat[r]), config.lam, config.alpha)
         if res.k_star > 0 and pmat[r, k] <= c * res.k_star:
             terms[r] = 1.0 / res.k_star
     est = float(terms.mean())

@@ -1,0 +1,306 @@
+"""Bit-for-bit tests of the per-replication fast paths.
+
+The quantile's single-pass array path and its scalar path, the re-keyed
+Philox behind the block sampler, the one-pass procedures and
+GroupedPValues.with_pvalues each replaced simpler code.  That earlier code is
+kept below as the oracle, and every output is compared byte for byte.
+"""
+
+import math
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import erfc
+
+from gbh_fdr import (GBHWeights, GroupedPValues, RejectionResult, bh_step_up,
+                     gbh1, gbh1_weights, norm_quantile, simulator, storey)
+from gbh_fdr.normal import (_ACKLAM_SPLIT, _INV_SQRT_2, _INV_SQRT_2PI,
+                            _acklam_central, _acklam_tail)
+
+
+# ---------------------------------------------------------------------------
+# oracles: the masked array quantile and the per-group procedures
+
+def oracle_quantile(p) -> np.ndarray:
+    flat = np.asarray(p, dtype=float).ravel()
+    mirror = flat > 0.5
+    pm = np.where(mirror, 1.0 - flat, flat)
+    out = np.empty_like(pm)
+    edge = pm == 0.0
+    tail = (~edge) & (pm < _ACKLAM_SPLIT)
+    mid = ~(edge | tail)
+    out[edge] = -np.inf
+    if tail.any():
+        out[tail] = _acklam_tail(pm[tail])
+    if mid.any():
+        out[mid] = _acklam_central(pm[mid])
+    finite = np.isfinite(out)
+    if finite.any():
+        x = out[finite]
+        dens = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
+        cdf = 0.5 * erfc(-x * _INV_SQRT_2)
+        step = np.where(dens > 0.0, (cdf - pm[finite]) / np.where(dens > 0.0, dens, 1.0), 0.0)
+        out[finite] = x - step
+    return np.where(mirror, -out, out).reshape(np.shape(p))
+
+
+def oracle_bh_step_up(scores, alpha) -> RejectionResult:
+    s = np.asarray(scores, dtype=float)
+    m = s.size
+    sorted_s = np.sort(s)
+    thresholds = alpha * np.arange(1, m + 1) / m
+    ok = np.nonzero(sorted_s <= thresholds)[0]
+    k_star = int(ok[-1] + 1) if ok.size else 0
+    threshold = k_star * alpha / m
+    rejected = tuple(int(i) for i in np.nonzero(s <= threshold)[0]) if k_star else ()
+    return RejectionResult(rejected=rejected, k_star=k_star, threshold=threshold,
+                           weighted_pvalues=s)
+
+
+def oracle_gbh1_weights(gp, lam) -> GBHWeights:
+    p = gp.pvalues
+    m, g = gp.m, gp.g
+    r_per_group = tuple(int(np.count_nonzero(p[idx] <= lam)) for idx in gp.groups)
+    r_total = sum(r_per_group)
+    w = []
+    for j, idx in enumerate(gp.groups):
+        n_j, r_j = idx.size, r_per_group[j]
+        if r_j == 0:
+            w.append(math.inf)
+        else:
+            w.append((n_j - r_j + 1) * (r_total + g - 1) / (m * (1.0 - lam) * r_j))
+    return GBHWeights(w=tuple(w), r_total=r_total, r_per_group=r_per_group)
+
+
+def oracle_gbh1(gp, lam, alpha) -> RejectionResult:
+    wts = oracle_gbh1_weights(gp, lam)
+    w_by_index = np.asarray(wts.w, dtype=float)[gp.labels]
+    infinite = np.isinf(w_by_index)
+    scores = np.where(infinite, np.inf, gp.pvalues * np.where(infinite, 1.0, w_by_index))
+    return oracle_bh_step_up(scores, alpha)
+
+
+def oracle_storey(pvalues, lam, alpha) -> RejectionResult:
+    p = np.asarray(pvalues, dtype=float)
+    m = p.size
+    r = int(np.count_nonzero(p <= lam))
+    w = (m - r + 1) / (m * (1.0 - lam))
+    return oracle_bh_step_up(p * w, alpha)
+
+
+def bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def assert_same_result(got: RejectionResult, want: RejectionResult) -> None:
+    assert got.rejected == want.rejected
+    assert all(type(i) is int for i in got.rejected)
+    assert type(got.k_star) is int and got.k_star == want.k_star
+    assert bits(got.threshold) == bits(want.threshold)
+    assert got.weighted_pvalues.tobytes() == want.weighted_pvalues.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# norm_quantile, array path
+
+EDGES = np.array([
+    0.0, 1.0, 5e-324, 1e-320, 1e-310, 2.2250738585072014e-308, 1e-300, 1e-20,
+    0.5, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0),
+    _ACKLAM_SPLIT, np.nextafter(_ACKLAM_SPLIT, 0.0), np.nextafter(_ACKLAM_SPLIT, 1.0),
+    1.0 - _ACKLAM_SPLIT, np.nextafter(1.0 - _ACKLAM_SPLIT, 0.0),
+    np.nextafter(1.0 - _ACKLAM_SPLIT, 1.0),
+    0.5 / 2 ** 53, 1.5 / 2 ** 53, 1.0 - 0.5 / 2 ** 53, 1.0 - 1.5 / 2 ** 53,
+    np.nextafter(1.0, 0.0), 1.0 - 1e-12, 1e-12, 0.025, 0.975,
+])
+
+unit_floats = st.floats(min_value=0.0, max_value=1.0)
+log_tails = st.floats(min_value=-323.0, max_value=0.0).map(lambda e: 10.0 ** e)
+probabilities = st.one_of(unit_floats, log_tails, log_tails.map(lambda t: 1.0 - t))
+
+
+def test_array_quantile_matches_oracle_on_edges():
+    assert norm_quantile(EDGES).tobytes() == oracle_quantile(EDGES).tobytes()
+    rng = np.random.default_rng(5)
+    dense = np.concatenate([rng.random(20000), 10.0 ** rng.uniform(-323.0, 0.0, 20000),
+                            (rng.integers(0, 2 ** 53, 20000) + 0.5) / 2 ** 53])
+    assert norm_quantile(dense).tobytes() == oracle_quantile(dense).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(probabilities, min_size=1, max_size=40))
+def test_array_quantile_matches_oracle_property(ps):
+    p = np.array(ps)
+    assert norm_quantile(p).tobytes() == oracle_quantile(p).tobytes()
+
+
+def test_array_quantile_keeps_shape():
+    grid = EDGES[:24].reshape(4, 6)
+    out = norm_quantile(grid)
+    assert out.shape == (4, 6)
+    assert out.tobytes() == oracle_quantile(grid).tobytes()
+    strided = grid[:, ::2]
+    assert norm_quantile(strided).tobytes() == oracle_quantile(strided).tobytes()
+    for empty in (np.empty(0), np.empty((3, 0))):
+        assert norm_quantile(empty).shape == empty.shape
+
+
+def test_quantile_endpoints_do_not_warn():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = norm_quantile(np.array([0.0, 1.0, 5e-324]))
+        assert out[0] == -np.inf and out[1] == np.inf and np.isfinite(out[2])
+        for p in (0.0, 1.0, 5e-324):
+            norm_quantile(p)
+
+
+# ---------------------------------------------------------------------------
+# norm_quantile, scalar path
+
+@settings(max_examples=400, deadline=None)
+@given(probabilities)
+def test_scalar_quantile_matches_array_path(p):
+    want = norm_quantile(np.array([p]))[0]
+    for arg in (p, np.float64(p), np.array(p)):
+        got = norm_quantile(arg)
+        assert type(got) is float
+        assert bits(got) == want.tobytes()
+
+
+def test_scalar_quantile_matches_array_path_on_edges():
+    want = norm_quantile(EDGES)
+    for p, w in zip(EDGES.tolist(), want):
+        assert bits(norm_quantile(p)) == w.tobytes()
+
+
+@pytest.mark.parametrize("bad", [math.nan, -0.1, 1.1])
+def test_scalar_quantile_rejects_like_array_path(bad):
+    with pytest.raises(ValueError) as scalar_err:
+        norm_quantile(bad)
+    with pytest.raises(ValueError) as array_err:
+        norm_quantile(np.array([0.5, bad]))
+    assert str(scalar_err.value) == str(array_err.value)
+
+
+# ---------------------------------------------------------------------------
+# re-keyed Philox
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.one_of(st.integers(min_value=-(2 ** 63), max_value=-1),
+                   st.integers(min_value=0, max_value=2 ** 20),
+                   st.integers(min_value=2 ** 63, max_value=2 ** 64 - 1)),
+    lo=st.one_of(st.integers(min_value=0, max_value=2 ** 40),
+                 st.just(2 ** 64 - 2)),
+    count=st.sampled_from((1, 2, 5)),
+    width=st.sampled_from((1, 3, 4, 5, 201)),
+)
+def test_rekeyed_rows_equal_fresh_philox(seed, lo, count, width):
+    words = simulator._block_words(seed, lo, lo + count, width)
+    assert words.shape == (count, width)
+    for i in range(count):
+        key = np.array([seed % 2 ** 64, (lo + i) % 2 ** 64], dtype=np.uint64)
+        assert words[i].tobytes() == np.random.Philox(key=key).random_raw(width).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# procedures against the oracles
+
+LAMBDAS = (0.05, 0.3, 0.5)
+
+
+@st.composite
+def grouped_instances(draw):
+    m = draw(st.integers(min_value=1, max_value=14))
+    g = draw(st.integers(min_value=1, max_value=min(m, 6)))
+    lam = draw(st.sampled_from(LAMBDAS))
+    # A small pool makes ties, p == lambda, 0 and 1 common.
+    pool = st.sampled_from((0.0, 1.0, lam, 0.001, 0.01, 0.2, 0.7, 0.95))
+    pvalues = draw(st.lists(st.one_of(pool, unit_floats), min_size=m, max_size=m))
+    # Every group nonempty; labels in random, non-contiguous order.
+    labels = list(range(g)) + draw(st.lists(st.integers(0, g - 1), min_size=m - g,
+                                            max_size=m - g))
+    labels = draw(st.permutations(labels))
+    alpha = draw(st.sampled_from((0.05, 0.2, 0.5)))
+    return GroupedPValues.from_labels(np.array(pvalues), labels), lam, alpha
+
+
+@settings(max_examples=400, deadline=None)
+@given(grouped_instances())
+def test_procedures_match_oracles(instance):
+    gp, lam, alpha = instance
+    wts, want = gbh1_weights(gp, lam), oracle_gbh1_weights(gp, lam)
+    assert wts == want
+    assert all(type(r) is int for r in wts.r_per_group) and type(wts.r_total) is int
+    assert_same_result(gbh1(gp, lam, alpha), oracle_gbh1(gp, lam, alpha))
+    assert_same_result(storey(gp.pvalues, lam, alpha), oracle_storey(gp.pvalues, lam, alpha))
+    assert_same_result(bh_step_up(gp.pvalues, alpha), oracle_bh_step_up(gp.pvalues, alpha))
+
+
+def test_procedures_match_oracles_on_fixed_cases():
+    cases = [
+        # an infinite-weight group next to a group with ties at lambda
+        (np.array([0.5, 0.5, 0.01, 0.7, 0.8, 0.9]), [0, 0, 0, 1, 1, 1], 0.5),
+        # g = 1 with p of 0 and 1
+        (np.array([0.0, 1.0, 0.0, 0.3, 1.0]), [7, 7, 7, 7, 7], 0.3),
+        # non-contiguous labels, every group infinite but one
+        (np.array([0.9, 0.01, 0.8, 0.02, 0.99, 0.6]), ["b", "a", "c", "a", "b", "c"], 0.05),
+    ]
+    for p, labels, lam in cases:
+        gp = GroupedPValues.from_labels(p, labels)
+        assert gbh1_weights(gp, lam) == oracle_gbh1_weights(gp, lam)
+        scores = np.array([0.0, np.inf, 0.01, 0.01, 2.0])
+        assert_same_result(bh_step_up(scores, 0.2), oracle_bh_step_up(scores, 0.2))
+        for alpha in (0.05, 0.5):
+            assert_same_result(gbh1(gp, lam, alpha), oracle_gbh1(gp, lam, alpha))
+            assert_same_result(storey(p, lam, alpha), oracle_storey(p, lam, alpha))
+
+
+# ---------------------------------------------------------------------------
+# GroupedPValues.with_pvalues
+
+GROUPS = (np.array([4, 0, 2]), np.array([1, 3]))
+
+
+def test_with_pvalues_matches_constructor():
+    base = GroupedPValues(np.full(5, 0.5), GROUPS)
+    p = np.array([0.01, 0.5, 0.0, 1.0, 0.3])
+    got, want = base.with_pvalues(p), GroupedPValues(p, GROUPS)
+    assert type(got) is GroupedPValues
+    assert got.pvalues.tobytes() == want.pvalues.tobytes()
+    assert got.labels.tobytes() == want.labels.tobytes()
+    assert len(got.groups) == len(want.groups)
+    for a, b in zip(got.groups, want.groups):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert (got.m, got.g, got.group_sizes) == (want.m, want.g, want.group_sizes)
+    assert_same_result(gbh1(got, 0.5, 0.1), gbh1(want, 0.5, 0.1))
+    got_list = base.with_pvalues([0.01, 0.5, 0.0, 1.0, 0.3])
+    assert got_list.pvalues.tobytes() == want.pvalues.tobytes()
+
+
+def test_with_pvalues_shares_the_partition():
+    base = GroupedPValues(np.full(5, 0.5), GROUPS)
+    new = base.with_pvalues(np.linspace(0.0, 1.0, 5))
+    assert new.groups is base.groups
+    assert new.labels is base.labels
+    assert new.pvalues is not base.pvalues
+
+
+@pytest.mark.parametrize("bad", [
+    np.array([0.1, np.nan, 0.2, 0.3, 0.4]),
+    np.array([0.1, -0.01, 0.2, 0.3, 0.4]),
+    np.array([0.1, 1.01, 0.2, 0.3, 0.4]),
+    np.full(4, 0.5),
+    np.full(6, 0.5),
+    np.full((5, 1), 0.5),
+    np.empty(0),
+])
+def test_with_pvalues_rejects_like_constructor(bad):
+    base = GroupedPValues(np.full(5, 0.5), GROUPS)
+    with pytest.raises(ValueError) as from_base:
+        base.with_pvalues(bad)
+    with pytest.raises(ValueError) as from_constructor:
+        GroupedPValues(bad, GROUPS)
+    assert str(from_base.value) == str(from_constructor.value)

@@ -81,6 +81,17 @@ def test_config_rejects_inconsistencies():
     with pytest.raises(ConfigError):
         small_config(replications=0)
 
+@pytest.mark.parametrize("seed", [1.5, "7"])
+def test_config_rejects_non_integral_seed(seed):
+    with pytest.raises(ConfigError, match="seed"):
+        small_config(seed=seed)
+
+def test_config_accepts_numpy_integer_seed():
+    cfg = small_config(seed=np.int64(5), replications=50)
+    assert type(cfg.seed) is int
+    assert summary_json_dict(run_mc(cfg)) == summary_json_dict(run_mc(small_config(
+        seed=5, replications=50)))
+
 def test_config_mask_and_means():
     cfg = SimConfig(m=6, group_sizes=(3, 3), nonnull_counts=(2, 1),
                     effect_mu=(1.5, 2.5), replications=1)
