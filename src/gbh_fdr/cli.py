@@ -21,8 +21,9 @@ import numpy as np
 from .bound import (BoundInput, DomainError, fdr_bound, fdr_bound_aform,
                     in_theorem_domain, rho_max)
 from .procedures import GroupedPValues, bh_step_up, gbh1, storey
-from .simulator import (DEFAULTS_SOURCE, ConfigError, SimConfig, append_log,
-                        config_with_updates, load_config_file, run_mc,
+from .simulator import (CONFIG_FLAGS, DEFAULTS_SOURCE, ConfigError, SimConfig,
+                        append_log, config_with_updates, flag_updates,
+                        load_config_file, open_utf8, run_mc,
                         summary_json_dict)
 from . import verify as verify_mod
 
@@ -91,40 +92,13 @@ def cmd_curve(args) -> int:
     return EXIT_OK
 
 
-def _simulate_updates(args) -> dict:
-    updates = {}
-    if args.m is not None:
-        updates["m"] = args.m
-    if args.group_sizes is not None:
-        updates["group_sizes"] = tuple(int(v) for v in args.group_sizes.split(","))
-    if args.nonnull_counts is not None:
-        updates["nonnull_counts"] = tuple(int(v) for v in args.nonnull_counts.split(","))
-    if args.effect_mu is not None:
-        parts = args.effect_mu.split(",")
-        updates["effect_mu"] = float(parts[0]) if len(parts) == 1 \
-            else tuple(float(v) for v in parts)
-    if args.rho is not None:
-        updates["rho"] = args.rho
-    if args.lam is not None:
-        updates["lam"] = args.lam
-    if args.alpha is not None:
-        updates["alpha"] = args.alpha
-    if args.procedure is not None:
-        updates["procedure"] = args.procedure
-    if args.replications is not None:
-        updates["replications"] = args.replications
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    return updates
-
-
 def cmd_simulate(args) -> int:
     config = SimConfig()
     source = DEFAULTS_SOURCE
     if args.config is not None:
         config = config_with_updates(config, load_config_file(args.config))
         source = str(args.config)
-    config = config_with_updates(config, _simulate_updates(args))
+    config = config_with_updates(config, flag_updates(vars(args)))
     summary = run_mc(config, threads=args.threads)
     print(_jdump(summary_json_dict(summary, config_source=source)))
     if args.log is not None:
@@ -135,7 +109,7 @@ def cmd_simulate(args) -> int:
 def _read_pvalue_table(path, need_group: bool) -> tuple:
     """(header, rows, pvalues, labels) from a CSV with a pvalue column and,
     when needed, a group column.  Errors carry 1-based line numbers."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open_utf8(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -265,17 +239,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("simulate", help="run a Monte Carlo campaign")
     s.add_argument("--config", default=None, help="flat key=value config file")
-    s.add_argument("--m", type=int, default=None)
-    s.add_argument("--group-sizes", default=None)
-    s.add_argument("--nonnull-counts", default=None)
-    s.add_argument("--effect-mu", default=None)
-    s.add_argument("--rho", type=float, default=None)
-    s.add_argument("--lambda", dest="lam", type=float, default=None)
-    s.add_argument("--alpha", type=float, default=None)
-    s.add_argument("--procedure", choices=("gbh1", "storey", "bh"), default=None)
-    s.add_argument("--replications", type=int, default=None)
-    s.add_argument("--seed", type=int, default=None)
-    s.add_argument("--threads", type=int, default=1)
+    for flag, field in CONFIG_FLAGS:
+        # Raw strings: flag_updates parses them with the config-file grammar.
+        s.add_argument(flag, dest=field, default=None)
+    s.add_argument("--threads", type=int, default=1,
+                   help="accepted for compatibility; replications run in one thread")
     s.add_argument("--log", default=None, help="append a CSV summary line to this file")
     s.set_defaults(fn=cmd_simulate)
 

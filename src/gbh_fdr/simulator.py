@@ -4,10 +4,9 @@ Sampling model per replication: Y_i = mu_i + sqrt(1-rho)*X_i + sqrt(rho)*X0
 with X0, X1..Xm iid standard normal and p_i = 1 - cdf(Y_i).  Every
 replication owns a counter-based RNG substream keyed by (seed, rep_index), so
 results are bit-identical for a fixed seed no matter how replications are
-scheduled across threads or split into sampling blocks; the reduction always
-runs over the replication array in index order.  A block stacks its
-replications' uniforms into one matrix and pushes it through the quantile in
-one call; the procedure still runs once per replication.
+split into sampling blocks.  A block stacks its replications' uniforms into
+one matrix and pushes it through the quantile in one call; the procedure
+still runs once per replication, in one thread and in index order.
 
 Uniforms are drawn as lattice midpoints (k + 0.5)/2^53 and pushed through the
 package quantile, so normal variates inherit the audited inverse-CDF path and
@@ -17,10 +16,10 @@ at the representable edges (1e-300 and 1 - 2^-53).
 
 from __future__ import annotations
 
+import contextlib
 import math
 import operator
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional, Union
 
@@ -89,8 +88,8 @@ class SimConfig:
         mus = self.effect_mu if isinstance(self.effect_mu, tuple) else (self.effect_mu,)
         if isinstance(self.effect_mu, tuple) and len(self.effect_mu) != len(self.group_sizes):
             raise ConfigError("per-group effect_mu must align with group_sizes")
-        if any(not (v > 0.0) for v in mus):
-            raise ConfigError("effect_mu must be > 0")
+        if any(not (0.0 < v < math.inf) for v in mus):
+            raise ConfigError("effect_mu must be finite and > 0")
         if not (0.0 <= self.rho < 1.0):
             raise ConfigError(f"rho={self.rho} outside [0, 1)")
         if not (0.0 < self.lam < 1.0):
@@ -246,12 +245,7 @@ def _bound_or_none(config: SimConfig) -> Optional[float]:
     return None
 
 
-def _worker_count(threads: int) -> int:
-    """Requested worker threads clamped to [1, os.cpu_count()]."""
-    return max(1, min(int(threads), os.cpu_count() or 1))
-
-
-def _mc_loop(config: SimConfig, threads: int, x0: Optional[float] = None) -> SimSummary:
+def _mc_loop(config: SimConfig, x0: Optional[float] = None) -> SimSummary:
     reps = config.replications
     # The groups are fixed for the campaign: check the partition once, then
     # give each replication its p-values through with_pvalues.
@@ -261,31 +255,18 @@ def _mc_loop(config: SimConfig, threads: int, x0: Optional[float] = None) -> Sim
     fdp = np.empty(reps)
     tpp = np.empty(reps)
     rows = max(1, _BLOCK_ELEMENTS // (config.m + 1))
-
-    def fill(lo: int, hi: int) -> None:
-        for start in range(lo, hi, rows):
-            stop = min(start + rows, hi)
-            p = pvalues_from_sample(_sample_block(config, start, stop, x0))
-            for r in range(start, stop):
-                res = _apply_procedure(config, partition, p[r - start])
-                if res.k_star == 0:
-                    fdp[r] = 0.0
-                    tpp[r] = 0.0
-                else:
-                    v = int(np.count_nonzero(is_null.take(res.rejected)))
-                    fdp[r] = v / res.k_star
-                    tpp[r] = (res.k_star - v) / max(n_alt, 1)
-
-    threads = _worker_count(threads)
-    if threads == 1 or reps < 2 * threads:
-        fill(0, reps)
-    else:
-        edges = np.linspace(0, reps, threads + 1).astype(int)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(fill, int(lo), int(hi))
-                       for lo, hi in zip(edges[:-1], edges[1:])]
-            for f in futures:
-                f.result()
+    for start in range(0, reps, rows):
+        stop = min(start + rows, reps)
+        p = pvalues_from_sample(_sample_block(config, start, stop, x0))
+        for r in range(start, stop):
+            res = _apply_procedure(config, partition, p[r - start])
+            if res.k_star == 0:
+                fdp[r] = 0.0
+                tpp[r] = 0.0
+            else:
+                v = int(np.count_nonzero(is_null.take(res.rejected)))
+                fdp[r] = v / res.k_star
+                tpp[r] = (res.k_star - v) / max(n_alt, 1)
 
     fdr_hat = float(np.mean(fdp))
     fdr_se = float(np.std(fdp, ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
@@ -300,14 +281,16 @@ def _mc_loop(config: SimConfig, threads: int, x0: Optional[float] = None) -> Sim
 
 
 def run_mc(config: SimConfig, threads: int = 1) -> SimSummary:
-    """Run the campaign; deterministic for a fixed seed at any thread count."""
-    return _mc_loop(config, threads)
+    """Run the campaign, deterministic for a fixed seed.  threads is accepted
+    for compatibility and ignored: replications run in one thread, in order."""
+    return _mc_loop(config)
 
 
 def run_mc_conditional(config: SimConfig, x0: float, threads: int = 1) -> SimSummary:
-    """Run the campaign with the shared factor pinned at x0.  The attached
-    bound_value is None: the closed form speaks to the marginal model."""
-    return replace(_mc_loop(config, threads, float(x0)), bound_value=None)
+    """Run the campaign with the shared factor pinned at x0; threads is
+    ignored as in run_mc.  The attached bound_value is None: the closed form
+    speaks to the marginal model."""
+    return replace(_mc_loop(config, float(x0)), bound_value=None)
 
 
 # --- flat key=value config files ------------------------------------------
@@ -333,10 +316,48 @@ def _parse_value(field: str, raw: str):
     return float(raw)
 
 
+# (flag, field) per config key: the command line spells each key as a flag.
+CONFIG_FLAGS = tuple(("--" + key.replace("_", "-"), field)
+                     for key, field in _KEY_TO_FIELD.items())
+
+
+def flag_updates(values: dict) -> dict:
+    """Field updates from raw flag strings keyed by field name (None: flag
+    not given), parsed with the config-file grammar."""
+    updates = {}
+    for flag, field in CONFIG_FLAGS:
+        raw = values.get(field)
+        if raw is not None:
+            try:
+                updates[field] = _parse_value(field, raw)
+            except ValueError as exc:
+                raise ConfigError(f"{flag}: bad value {raw!r}: {exc}") from exc
+    return updates
+
+
+@contextlib.contextmanager
+def open_utf8(path, newline=None):
+    """open(path) as UTF-8 text.  A byte that is not UTF-8 raises ConfigError
+    naming path:line, lines ending at \\n, \\r\\n or \\r as in text mode."""
+    with open(path, "r", encoding="utf-8", newline=newline) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError:
+            with open(path, "rb") as raw:
+                data = raw.read()
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                head = data[:exc.start].replace(b"\r\n", b"\n")
+                line = head.count(b"\n") + head.count(b"\r") + 1
+                raise ConfigError(f"{path}:{line}: byte 0x{data[exc.start]:02x} is not UTF-8") from None
+            raise
+
+
 def load_config_file(path) -> dict:
     """Parse a flat key=value file ('#' starts a comment) into field updates."""
     updates = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
             if not line:

@@ -261,6 +261,79 @@ def test_simulate_out_of_domain_rho_has_null_bound(capsys):
     assert json.loads(out)["bound_value"] is None
 
 
+def without_source(out: str) -> dict:
+    payload = json.loads(out)
+    del payload["config_source"]
+    return payload
+
+@pytest.mark.parametrize("flag, value", [("--group-sizes", "10,x"),
+                                         ("--nonnull-counts", "0,,y"),
+                                         ("--effect-mu", "big"),
+                                         ("--m", "2e1"),
+                                         ("--seed", "1.5"),
+                                         ("--rho", "fast")])
+def test_simulate_bad_flag_value_names_the_flag(capsys, flag, value):
+    args = list(SIM_ARGS)
+    if flag in args:
+        args[args.index(flag) + 1] = value
+    else:
+        args += [flag, value]
+    rc, out, err = run_cli(capsys, *args)
+    assert rc == EXIT_INPUT
+    assert out == ""
+    assert err.startswith(f"error: {flag}: bad value {value!r}")
+
+@pytest.mark.parametrize("key, value", [("group_sizes", "10,10,"),
+                                        ("nonnull_counts", "2, 0,"),
+                                        ("effect_mu", "1.5,2.5"),
+                                        ("effect_mu", " 3.0 ,"),
+                                        ("procedure", " storey ")])
+def test_simulate_flags_share_the_config_file_grammar(capsys, tmp_path, key, value):
+    base = ("m = 20\ngroup_sizes = 10,10\nnonnull_counts = 1,1\n"
+            "replications = 200\nseed = 4\n")
+    plain, with_key = tmp_path / "base.cfg", tmp_path / "with_key.cfg"
+    plain.write_text(base)
+    with_key.write_text(base + f"{key} = {value}\n")
+    rc_file, out_file, _ = run_cli(capsys, "simulate", "--config", str(with_key))
+    flag = "--" + key.replace("_", "-")
+    rc_flag, out_flag, _ = run_cli(capsys, "simulate", "--config", str(plain),
+                                   f"{flag}={value}")
+    assert rc_file == rc_flag == EXIT_OK
+    assert without_source(out_flag) == without_source(out_file)
+
+def test_simulate_per_group_effect_mu_flag(capsys):
+    rc, out, _ = run_cli(capsys, "simulate", "--m", "20", "--group-sizes", "10,10",
+                         "--nonnull-counts", "2,2", "--effect-mu", "1.5,2.5",
+                         "--replications", "50", "--seed", "3")
+    assert rc == EXIT_OK
+    payload = json.loads(out)
+    assert payload["config"]["effect_mu"] == [1.5, 2.5]
+    assert payload["power_hat"] is not None
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1.5,inf", "nan,2.0"])
+def test_simulate_non_finite_effect_mu_exits_2(capsys, tmp_path, value):
+    args = ("--m", "20", "--group-sizes", "10,10", "--nonnull-counts", "1,1",
+            "--replications", "20")
+    rc, out, err = run_cli(capsys, "simulate", *args, f"--effect-mu={value}")
+    assert (rc, out) == (EXIT_INPUT, "")
+    assert "effect_mu" in err
+    cfg = tmp_path / "mu.cfg"
+    cfg.write_text(f"effect_mu = {value}\n")
+    rc, out, err = run_cli(capsys, "simulate", "--config", str(cfg), *args)
+    assert (rc, out) == (EXIT_INPUT, "")
+    assert "effect_mu" in err
+
+@pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
+def test_simulate_config_not_utf8_names_path_and_line(capsys, tmp_path, ending):
+    cfg = tmp_path / "latin1.cfg"
+    lines = ["# campaign", "m = 20", "group_sizes = 10,10", "seed = 5 # caf\xe9"]
+    cfg.write_bytes(ending.join(lines).encode("latin-1") + b"\n")
+    rc, out, err = run_cli(capsys, "simulate", "--config", str(cfg))
+    assert (rc, out) == (EXIT_INPUT, "")
+    assert f"{cfg}:4: byte 0xe9 is not UTF-8" in err
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # adjust
 
@@ -365,6 +438,15 @@ def test_adjust_malformed_rows_cite_line_numbers(capsys, tmp_path):
     rc, _, err = run_cli(capsys, "adjust", "--input", nan_row)
     assert rc == EXIT_INPUT
     assert ":2:" in err
+
+@pytest.mark.parametrize("ending", ["\n", "\r\n"])
+def test_adjust_not_utf8_names_path_and_line(capsys, tmp_path, ending):
+    path = tmp_path / "latin1.csv"
+    rows = ["pvalue,group", "0.01,a", "0.2,a", '0.5,"caf\xe9"', "0.9,b"]
+    path.write_bytes(ending.join(rows).encode("latin-1") + ending.encode())
+    rc, out, err = run_cli(capsys, "adjust", "--input", str(path))
+    assert (rc, out) == (EXIT_INPUT, "")
+    assert f"{path}:4: byte 0xe9 is not UTF-8" in err
 
 def test_adjust_empty_and_headerless_inputs(capsys, tmp_path):
     empty = write_csv(tmp_path, "empty.csv", "")

@@ -10,7 +10,7 @@ match bit for bit.
 import hashlib
 import json
 import math
-import os
+import threading
 
 import numpy as np
 import pytest
@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from gbh_fdr import (SimConfig, generate_sample, generate_sample_conditional,
                      norm_quantile, run_mc, run_mc_conditional, simulator)
+from gbh_fdr.cli import main
 from gbh_fdr.simulator import summary_json_dict
 from gbh_fdr.verify import _conditional_pvalue_matrix
 
@@ -131,8 +132,8 @@ def test_sample_block_rows_match_oracle(m, seed, lo, count, x0, rho):
 
 @pytest.mark.parametrize("block_elements", [1, 5 * 41, simulator._BLOCK_ELEMENTS])
 def test_results_invariant_to_block_split(monkeypatch, block_elements):
-    # 5 * 41 gives 5-replication blocks at m = 40, which split each thread's
-    # 151- or 152-replication range unevenly.
+    # 5 * 41 gives 5-replication blocks at m = 40, which do not divide the
+    # 303 replications evenly: the last block holds 3.
     cfg = small_config(nonnull_counts=(3, 0, 2, 0), replications=303)
     reference = run_mc(cfg)
     reference_cond = run_mc_conditional(cfg, -1.25)
@@ -144,16 +145,23 @@ def test_results_invariant_to_block_split(monkeypatch, block_elements):
 
 
 # ---------------------------------------------------------------------------
-# worker count
+# threads is accepted and ignored: nothing starts a thread
 
-def test_worker_count_clamped_to_cpu_count():
-    cpus = os.cpu_count() or 1
-    assert simulator._worker_count(10 ** 6) == cpus
-    assert simulator._worker_count(0) == 1
-    assert simulator._worker_count(-3) == 1
-    assert simulator._worker_count(1) == 1
+def test_no_thread_is_started_at_any_thread_count(monkeypatch, capsys):
+    cfg = small_config(nonnull_counts=(3, 0, 2, 0), replications=303)
+    reference = run_mc(cfg, threads=1)
+    reference_cond = run_mc_conditional(cfg, -1.25, threads=1)
+    sim_args = ["simulate", "--m", "20", "--group-sizes", "10,10",
+                "--nonnull-counts", "0,0", "--replications", "60", "--seed", "9"]
+    assert main(sim_args + ["--threads", "1"]) == 0
+    reference_out = capsys.readouterr().out
 
+    def refuse(self):
+        raise AssertionError(f"thread {self.name!r} was started")
 
-def test_worker_count_without_cpu_count(monkeypatch):
-    monkeypatch.setattr(simulator.os, "cpu_count", lambda: None)
-    assert simulator._worker_count(8) == 1
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    for t in (1, 2, 0, -3, 10 ** 6):
+        assert run_mc(cfg, threads=t) == reference
+        assert run_mc_conditional(cfg, -1.25, threads=t) == reference_cond
+    assert main(sim_args + ["--threads", "2"]) == 0
+    assert capsys.readouterr().out == reference_out

@@ -56,6 +56,12 @@ def test_config_defaults_are_valid():
     assert cfg.group_sizes == (50, 50, 50, 50)
     assert cfg.n_alternatives() == 0
 
+@pytest.mark.parametrize("mu", [math.inf, -math.inf, math.nan,
+                                (1.5, math.inf), (math.nan, 2.0)])
+def test_config_rejects_non_finite_effect_mu(mu):
+    with pytest.raises(ConfigError, match="effect_mu must be finite and > 0"):
+        SimConfig(m=10, group_sizes=(5, 5), nonnull_counts=(1, 1), effect_mu=mu)
+
 def test_config_rejects_inconsistencies():
     with pytest.raises(ConfigError):
         SimConfig(m=10, group_sizes=(5, 4))              # sizes don't sum to m
