@@ -32,6 +32,11 @@ EXIT_VERIFY_FAIL = 1
 EXIT_INPUT = 2
 EXIT_IO = 3
 
+# The most points one start:stop:step range may expand to.  It is checked
+# before the range is built, so a mistyped step exits 2 instead of filling
+# memory.
+GRID_MAX_POINTS = 100_000
+
 
 def _grid(spec: str) -> list:
     """Parse '0.05:0.5:0.05' (inclusive range) or '0.1,0.2,0.3'."""
@@ -41,9 +46,14 @@ def _grid(spec: str) -> list:
         if len(parts) != 3:
             raise ValueError(f"grid spec {spec!r} must be start:stop:step or comma list")
         start, stop, step = (float(v) for v in parts)
+        if not all(math.isfinite(v) for v in (start, stop, step)):
+            raise ValueError(f"grid spec {spec!r} needs a finite start, stop and step")
         if step <= 0 or stop < start:
             raise ValueError(f"grid spec {spec!r} has an empty range")
-        n = int(round((stop - start) / step))
+        span = (stop - start) / step  # inf when stop - start overflows
+        if not span < GRID_MAX_POINTS - 0.5:  # round(span) + 1 points
+            raise ValueError(f"grid spec {spec!r} has more than {GRID_MAX_POINTS} points")
+        n = int(round(span))
         vals = [round(start + i * step, 12) for i in range(n + 1)]
         return [v for v in vals if v <= stop + 1e-12]
     return [float(v) for v in spec.split(",") if v.strip() != ""]
@@ -108,7 +118,7 @@ def cmd_simulate(args) -> int:
 
 def _read_pvalue_table(path, need_group: bool) -> tuple:
     """(header, rows, pvalues, labels) from a CSV with a pvalue column and,
-    when needed, a group column.  Errors carry 1-based line numbers."""
+    when needed, a group column.  Errors carry 1-based physical line numbers."""
     with open_utf8(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -123,7 +133,9 @@ def _read_pvalue_table(path, need_group: bool) -> tuple:
         p_idx = cols.index("pvalue")
         g_idx = cols.index("group") if "group" in cols else None
         rows, pvals, labels = [], [], []
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
+            # The physical line the record ends on: a quoted field may span lines.
+            lineno = reader.line_num
             if not row or all(not c.strip() for c in row):
                 continue
             if len(row) != len(cols):

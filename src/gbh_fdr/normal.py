@@ -2,11 +2,12 @@
 
 Every other module routes its distributional arithmetic through here, so this
 is the one accuracy-audited path in the package.  The CDF goes through the
-complementary error function (platform rational/continued-fraction kernel,
-abs error well below 1e-12).  The quantile is Acklam's piecewise rational
-approximation polished by a single Newton step on the CDF, which drives the
-round-trip error |cdf(quantile(p)) - p| to machine precision for
-p in [1e-12, 1 - 1e-12].  Endpoints map to the +-inf sentinels and those
+complementary error function: scipy.special.erfc on arrays, and on scalars a
+pure-Python port of the same Cephes kernel that returns identical bits, so
+that scalar callers (the bound, the CLI) never load scipy.  The quantile is
+Acklam's piecewise rational approximation polished by a single Newton step on
+the CDF, which drives the round-trip error |cdf(quantile(p)) - p| to machine
+precision for p in [1e-12, 1 - 1e-12].  Endpoints map to the +-inf sentinels and those
 propagate through ordinary float arithmetic; nothing here clips.
 
 All functions accept scalars or numpy arrays and return matching shapes.
@@ -17,7 +18,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import erfc
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 _INV_SQRT_2PI = 1.0 / SQRT_2PI
@@ -25,7 +25,66 @@ _INV_SQRT_2 = 1.0 / math.sqrt(2.0)
 
 
 def _scalar_in(x) -> bool:
-    return np.ndim(x) == 0
+    return type(x) is float or np.ndim(x) == 0
+
+
+# Cephes ndtr.c (S. L. Moshier): erfc(x) = exp(-x^2) P(x)/Q(x) for
+# 1 <= |x| < 8, exp(-x^2) R(x)/S(x) for |x| >= 8, and 1 - erf(x) with
+# erf(x) = x T(x^2)/U(x^2) for |x| < 1.  scipy.special.erfc compiles the same
+# code; the coefficients, the Horner order and the libm exp below reproduce it
+# bit for bit.  np.exp must not stand in for math.exp: it can differ in the
+# last bit.
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1,
+           7.46321056442269912687e0, 4.86371970985681366614e1,
+           1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3,
+           5.57535335369399327526e2)
+_ERFC_Q = (1.32281951154744992508e1, 8.67072140885989742329e1,
+           3.54937778887819891062e2, 9.75708501743205489753e2,
+           1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0,
+           5.01905042251180477414e0, 6.16021097993053585195e0,
+           7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (2.26052863220117276590e0, 9.39603524938001434673e0,
+           1.20489539808096656605e1, 1.70814450747565897222e1,
+           9.60896809063285878198e0, 3.36907645100081516050e0)
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1,
+          2.23200534594684319226e3, 7.00332514112805075473e3,
+          5.55923013010394962768e4)
+_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2,
+          4.59432382970980127987e3, 2.26290000613890934246e4,
+          4.92673942608635921086e4)
+# Cephes MAXLOG = log(DBL_MAX): below exp(-MAXLOG) erfc returns 0 (or 2).
+_MAXLOG = 7.09782712893383996732e2
+
+
+def _erfc_scalar(a: float) -> float:
+    """Complementary error function of one float, bit-identical to
+    scipy.special.erfc; NaN in gives NaN out."""
+    x = -a if a < 0.0 else a
+    if x < 1.0:
+        t, u = _ERF_T, _ERF_U
+        z = x * x
+        erf = x * ((((t[0] * z + t[1]) * z + t[2]) * z + t[3]) * z + t[4]) / (
+            ((((z + u[0]) * z + u[1]) * z + u[2]) * z + u[3]) * z + u[4])
+        return 1.0 + erf if a < 0.0 else 1.0 - erf
+    if x != x:
+        return math.nan
+    if -a * a < -_MAXLOG:
+        return 2.0 if a < 0.0 else 0.0
+    if x < 8.0:
+        p, q = _ERFC_P, _ERFC_Q
+        num = (((((((p[0] * x + p[1]) * x + p[2]) * x + p[3]) * x + p[4]) * x + p[5]) * x
+                + p[6]) * x + p[7]) * x + p[8]
+        den = (((((((x + q[0]) * x + q[1]) * x + q[2]) * x + q[3]) * x + q[4]) * x
+                + q[5]) * x + q[6]) * x + q[7]
+    else:
+        r, s = _ERFC_R, _ERFC_S
+        num = ((((r[0] * x + r[1]) * x + r[2]) * x + r[3]) * x + r[4]) * x + r[5]
+        den = (((((x + s[0]) * x + s[1]) * x + s[2]) * x + s[3]) * x + s[4]) * x + s[5]
+    y = math.exp(-a * a) * num / den
+    return 2.0 - y if a < 0.0 else y
 
 
 def phi(x):
@@ -35,17 +94,28 @@ def phi(x):
     return float(out) if _scalar_in(x) else out
 
 
+def _half_erfc(x, scale: float, name: str):
+    """0.5*erfc(scale*x), rejecting NaN.  A scalar takes the port and returns
+    a float; an array loads scipy on first use."""
+    if _scalar_in(x):
+        v = float(x)
+        if v != v:
+            raise ValueError(f"{name}: NaN is not a valid argument")
+        return 0.5 * _erfc_scalar(v * scale)
+    from scipy.special import erfc
+    arr = np.asarray(x, dtype=float)
+    if np.isnan(arr).any():
+        raise ValueError(f"{name}: NaN is not a valid argument")
+    return 0.5 * erfc(arr * scale)
+
+
 def norm_cdf(x):
     """Standard normal CDF via 0.5*erfc(-x/sqrt(2)).
 
     Accepts finite values and the +-inf sentinels (mapping to 1 and 0);
     rejects NaN.
     """
-    arr = np.asarray(x, dtype=float)
-    if np.isnan(arr).any():
-        raise ValueError("norm_cdf: NaN is not a valid argument")
-    out = 0.5 * erfc(-arr * _INV_SQRT_2)
-    return float(out) if _scalar_in(x) else out
+    return _half_erfc(x, -_INV_SQRT_2, "norm_cdf")
 
 
 def norm_sf(x):
@@ -53,11 +123,7 @@ def norm_sf(x):
 
     Cancellation-free in the right tail, unlike literal 1 - norm_cdf(x).
     """
-    arr = np.asarray(x, dtype=float)
-    if np.isnan(arr).any():
-        raise ValueError("norm_sf: NaN is not a valid argument")
-    out = 0.5 * erfc(arr * _INV_SQRT_2)
-    return float(out) if _scalar_in(x) else out
+    return _half_erfc(x, _INV_SQRT_2, "norm_sf")
 
 
 # Acklam's rational approximation to the normal quantile: three pieces with
@@ -102,6 +168,7 @@ def norm_quantile(p):
     """
     if _scalar_in(p):
         return _quantile_scalar(float(p))
+    from scipy.special import erfc
     arr = np.asarray(p, dtype=float)
     if np.isnan(arr).any() or (arr < 0.0).any() or (arr > 1.0).any():
         raise ValueError("norm_quantile: p must lie in [0, 1]")
@@ -140,8 +207,9 @@ def norm_quantile(p):
 
 def _quantile_scalar(p: float) -> float:
     """norm_quantile for one float: the array path's arithmetic, element for
-    element, without the masks.  Transcendentals go through numpy and scipy
-    so that every bit matches the array path."""
+    element, without the masks.  exp, log and sqrt go through numpy and
+    erfc through its bit-identical port, so that every bit matches the array
+    path."""
     if not (0.0 <= p <= 1.0):
         raise ValueError("norm_quantile: p must lie in [0, 1]")
     mirror = p > 0.5
@@ -152,7 +220,7 @@ def _quantile_scalar(p: float) -> float:
         x = _acklam_tail(pm) if pm < _ACKLAM_SPLIT else _acklam_central(pm)
         dens = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
         if dens > 0.0:
-            x = x - (0.5 * erfc(-x * _INV_SQRT_2) - pm) / dens
+            x = x - (0.5 * _erfc_scalar(float(-x * _INV_SQRT_2)) - pm) / dens
     return float(-x if mirror else x)
 
 

@@ -24,14 +24,12 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.special import log_ndtr
 
 from .bound import (DomainError, ab_from_rho, exact_p_conditional,
                     integrals_closed, m_factor, rho_max)
-from .normal import SQRT_2PI, norm_cdf, phi
+from .normal import SQRT_2PI, norm_cdf, norm_quantile, phi
 from .procedures import GroupedPValues, gbh1
 from .simulator import SimConfig, _uniforms, pvalues_from_sample
-from .normal import norm_quantile
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -77,6 +75,8 @@ def f_ratio(a: float, b: float, x):
     """
     if not a > 1.0:
         raise ValueError(f"f_ratio: a={a} must exceed 1")
+    # Imported here: scipy.special is slow to load and only the audits need it.
+    from scipy.special import log_ndtr
     xs = np.asarray(x, dtype=float)
     out = np.exp(log_ndtr(-(a * xs + b)) - log_ndtr(-xs))
     return float(out) if np.ndim(x) == 0 else out

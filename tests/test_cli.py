@@ -7,10 +7,16 @@ byte determinism of primary outputs, and fixed JSON/CSV shapes.
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gbh_fdr
+from gbh_fdr import cli
 from gbh_fdr.cli import EXIT_INPUT, EXIT_IO, EXIT_OK, EXIT_VERIFY_FAIL, main
 from gbh_fdr.simulator import LOG_HEADER
 
@@ -171,6 +177,35 @@ def test_curve_bad_grid_spec_exits_2(capsys, tmp_path):
     rc, _, _ = run_cli(capsys, "curve", "--lambdas", "0.5:0.1:0.1",
                        "--out", str(tmp_path / "x.csv"))
     assert rc == EXIT_INPUT
+
+@pytest.mark.parametrize("spec, reason", [
+    ("0:inf:0.1", "needs a finite start, stop and step"),
+    ("-inf:0.2:0.1", "needs a finite start, stop and step"),
+    ("0.1:0.2:nan", "needs a finite start, stop and step"),
+    ("nan:0.2:0.1", "needs a finite start, stop and step"),
+    ("0.1:0.2:inf", "needs a finite start, stop and step"),
+    ("0:0.34:1e-12", "has more than 100000 points"),
+    ("0:1:5e-324", "has more than 100000 points"),
+    ("-1e308:1e308:1", "has more than 100000 points"),   # stop - start overflows
+])
+def test_curve_hostile_grid_spec_exits_2_quoting_it(capsys, tmp_path, spec, reason):
+    # Each of these would loop, overflow or try to build a huge list if the
+    # checks ran after the range is built.
+    rc, out, err = run_cli(capsys, "curve", "--lambdas", "0.5", f"--rhos={spec}",
+                           "--out", str(tmp_path / "x.csv"))
+    assert (rc, out) == (EXIT_INPUT, "")
+    assert err == f"error: grid spec {spec!r} {reason}\n"
+    assert not (tmp_path / "x.csv").exists()
+
+def test_grid_point_cap_is_exact(monkeypatch):
+    assert cli.GRID_MAX_POINTS == 100_000
+    assert len(cli._grid("0:9999.9:0.1")) == 100_000
+    monkeypatch.setattr(cli, "GRID_MAX_POINTS", 11)
+    assert cli._grid("0:1:0.1") == [round(0.1 * i, 12) for i in range(11)]
+    with pytest.raises(ValueError, match="has more than 11 points"):
+        cli._grid("0:1.1:0.1")
+    with pytest.raises(ValueError, match="has more than 11 points"):
+        cli._grid("0:1.05:0.1")     # rounds to 12 points
 
 
 # ---------------------------------------------------------------------------
@@ -440,6 +475,27 @@ def test_adjust_malformed_rows_cite_line_numbers(capsys, tmp_path):
     assert ":2:" in err
 
 @pytest.mark.parametrize("ending", ["\n", "\r\n"])
+def test_adjust_errors_name_the_physical_line_after_a_multiline_field(capsys, tmp_path,
+                                                                       ending):
+    # The quoted label spans lines 2-3, so the bad p-value sits on line 5.
+    rows = ["pvalue,group", '0.1,"a', 'b"', "0.2,a", "x,a"]
+    path = write_csv(tmp_path, "multi.csv", ending.join(rows) + ending)
+    rc, out, err = run_cli(capsys, "adjust", "--input", path)
+    assert (rc, out) == (EXIT_INPUT, "")
+    assert err == f"error: {path}:5: bad pvalue 'x'\n"
+
+    rows[-1] = "0.3"
+    path = write_csv(tmp_path, "short.csv", ending.join(rows) + ending)
+    rc, _, err = run_cli(capsys, "adjust", "--input", path)
+    assert err == f"error: {path}:5: expected 2 fields, got 1\n"
+
+    rows[-1] = "0.3,b"
+    path = write_csv(tmp_path, "ok.csv", ending.join(rows) + ending)
+    rc, out, _ = run_cli(capsys, "adjust", "--input", path)
+    assert rc == EXIT_OK
+    assert out.splitlines()[1] == '0.1,"a' and out.splitlines()[2].startswith('b",')
+
+@pytest.mark.parametrize("ending", ["\n", "\r\n"])
 def test_adjust_not_utf8_names_path_and_line(capsys, tmp_path, ending):
     path = tmp_path / "latin1.csv"
     rows = ["pvalue,group", "0.01,a", "0.2,a", '0.5,"caf\xe9"', "0.9,b"]
@@ -542,3 +598,51 @@ def test_verify_requires_section_flag(capsys):
 def test_verify_rejects_unknown_section(capsys):
     rc, _, _ = run_cli(capsys, "verify", "--section", "everything")
     assert rc == EXIT_INPUT
+
+
+# ---------------------------------------------------------------------------
+# start-up imports
+
+IMPORT_PROBE = r"""
+import contextlib, io, sys
+
+def report(step, rc):
+    no_scipy = not any(m == "scipy" or m.startswith("scipy.") for m in sys.modules)
+    print(step, rc, "no scipy" if no_scipy else "scipy", "scipy.special" in sys.modules)
+
+from gbh_fdr import cli
+report("import", 0)
+tmp = sys.argv[1]
+with open(tmp + "/p.csv", "w") as fh:
+    fh.write("pvalue,group\n0.01,a\n0.2,a\n0.6,b\n")
+runs = [
+    ["--help"],
+    ["bound", "--lambda", "0.5", "--rho", "0.1", "--alpha", "0.05", "--aform"],
+    ["curve", "--lambdas", "0.1,0.5", "--rhos", "0.05:0.1:0.05", "--out", tmp + "/c.csv"],
+    ["adjust", "--input", tmp + "/p.csv"],
+    ["simulate", "--m", "20", "--group-sizes", "10,10", "--nonnull-counts", "0,0",
+     "--rho", "0.1", "--replications", "20"],
+]
+for argv in runs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.main(argv)
+    report(argv[0], rc)
+"""
+
+def test_scalar_subcommands_never_import_scipy(tmp_path):
+    # A fresh interpreter: the test process itself has scipy loaded already.
+    src = str(Path(gbh_fdr.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", IMPORT_PROBE, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "import 0 no scipy False",
+        "--help 0 no scipy False",
+        "bound 0 no scipy False",
+        "curve 0 no scipy False",
+        "adjust 0 no scipy False",
+        # the array paths do load it, so the checks above are not vacuous
+        "simulate 0 scipy True",
+    ]

@@ -3,7 +3,8 @@
 The quantile's single-pass array path and its scalar path, the re-keyed
 Philox behind the block sampler, the one-pass procedures and
 GroupedPValues.with_pvalues each replaced simpler code.  That earlier code is
-kept below as the oracle, and every output is compared byte for byte.
+kept below as the oracle, and every output is compared byte for byte.  The
+scalar erfc port is compared with scipy.special.erfc, the kernel it ports.
 """
 
 import math
@@ -16,9 +17,10 @@ from hypothesis import strategies as st
 from scipy.special import erfc
 
 from gbh_fdr import (GBHWeights, GroupedPValues, RejectionResult, bh_step_up,
-                     gbh1, gbh1_weights, norm_quantile, simulator, storey)
-from gbh_fdr.normal import (_ACKLAM_SPLIT, _INV_SQRT_2, _INV_SQRT_2PI,
-                            _acklam_central, _acklam_tail)
+                     gbh1, gbh1_weights, norm_cdf, norm_quantile, norm_sf,
+                     simulator, storey)
+from gbh_fdr.normal import (_ACKLAM_SPLIT, _INV_SQRT_2, _INV_SQRT_2PI, _MAXLOG,
+                            _acklam_central, _acklam_tail, _erfc_scalar)
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +184,70 @@ def test_scalar_quantile_rejects_like_array_path(bad):
     with pytest.raises(ValueError) as array_err:
         norm_quantile(np.array([0.5, bad]))
     assert str(scalar_err.value) == str(array_err.value)
+
+
+# ---------------------------------------------------------------------------
+# the scalar erfc port against scipy.special.erfc, and the scalar cdf and sf
+
+def _around(x):
+    return [np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)]
+
+
+# Branch edges of the Cephes kernel (|x| = 1 and 8), its underflow cut at
+# |x| = sqrt(MAXLOG) ~ 26.64, signed zeros, subnormals, infinities and NaNs
+# (scipy returns the default NaN whatever the payload or sign).
+_EDGE_MAGNITUDES = np.array(
+    [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-8]
+    + _around(1.0) + _around(8.0) + _around(math.sqrt(_MAXLOG))
+    + [26.0, 27.0, 1e10, 1.7976931348623157e308, np.inf])
+ERFC_EDGES = np.concatenate([
+    _EDGE_MAGNITUDES, -_EDGE_MAGNITUDES,
+    [np.nan, -np.nan, np.array([0x7FF8000000000123]).view(np.float64)[0]],
+])
+
+
+def assert_erfc_bits(xs) -> None:
+    xs = np.asarray(xs, dtype=float)
+    got = np.array([_erfc_scalar(x) for x in xs.tolist()]).view(np.int64)
+    want = erfc(xs).view(np.int64)
+    assert [x for x, g, w in zip(xs.tolist(), got, want) if g != w] == []
+
+
+def test_erfc_port_is_bitwise_scipy_on_edges():
+    assert_erfc_bits(ERFC_EDGES)
+    rng = np.random.default_rng(11)
+    assert_erfc_bits(np.concatenate([rng.uniform(-30.0, 30.0, 40000),
+                                     rng.standard_normal(20000) * 5.0,
+                                     rng.uniform(-1.5, 1.5, 20000),
+                                     rng.uniform(-8.5, 8.5, 20000)]))
+
+
+@settings(max_examples=3000, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_erfc_port_is_bitwise_scipy(x):
+    assert_erfc_bits([x])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.floats(allow_nan=False),
+                 st.sampled_from(ERFC_EDGES[:-3].tolist()).map(lambda e: e * math.sqrt(2.0))))
+def test_scalar_cdf_and_sf_match_array_path(x):
+    for fn in (norm_cdf, norm_sf):
+        want = fn(np.array([x]))[0]
+        for arg in (x, np.float64(x), np.array(x)):
+            got = fn(arg)
+            assert type(got) is float
+            assert bits(got) == want.tobytes()
+
+
+@pytest.mark.parametrize("fn", [norm_cdf, norm_sf])
+def test_scalar_cdf_and_sf_reject_nan_like_array_path(fn):
+    messages = set()
+    for arg in (math.nan, np.float64("nan"), np.array(-math.nan), np.array([0.5, math.nan])):
+        with pytest.raises(ValueError) as err:
+            fn(arg)
+        messages.add(str(err.value))
+    assert messages == {f"{fn.__name__}: NaN is not a valid argument"}
 
 
 # ---------------------------------------------------------------------------
