@@ -265,10 +265,20 @@ def fdr_bound_aform(inp: BoundInput, *, allow_out_of_domain: bool = False) -> Bo
     return BoundBreakdown(terms=terms, total=math.fsum(terms), parameterization="a")
 
 
+def check_rho_grid(rhos) -> None:
+    """Raise DomainError naming every rho of the grid outside (0, rho_max())."""
+    cap = rho_max()
+    bad = [r for r in rhos if not (0.0 < r < cap)]
+    if bad:
+        raise DomainError("rho", "rho grid outside (0, %.6f): %s"
+                          % (cap, ", ".join(repr(r) for r in bad)))
+
+
 def bound_curve(lams, rhos, alpha: float) -> list:
     """Rows (lambda, rho, bound, bound/alpha) over the grid, lambda-major
-    with rho ascending inside each lambda.  Every point must be in-domain;
-    the first offending point is named in the raised error."""
+    with rho ascending inside each lambda.  The error for a bad rho names
+    every one (check_rho_grid); a bad lambda or alpha, the first point."""
+    check_rho_grid(rhos)
     rows = []
     for lam in lams:
         for rho in sorted(rhos):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -18,8 +19,8 @@ import sys
 
 import numpy as np
 
-from .bound import (BoundInput, DomainError, fdr_bound, fdr_bound_aform,
-                    in_theorem_domain, rho_max)
+from .bound import (BoundInput, DomainError, check_rho_grid, fdr_bound,
+                    fdr_bound_aform, in_theorem_domain)
 from .procedures import GroupedPValues, bh_step_up, gbh1, storey
 from .simulator import (CONFIG_FLAGS, DEFAULTS_SOURCE, ConfigError, SimConfig,
                         append_log, config_with_updates, flag_updates,
@@ -38,14 +39,22 @@ EXIT_IO = 3
 GRID_MAX_POINTS = 100_000
 
 
-def _grid(spec: str) -> list:
-    """Parse '0.05:0.5:0.05' (inclusive range) or '0.1,0.2,0.3'."""
+def _grid(spec: str, name: str = "grid spec") -> list:
+    """Parse '0.05:0.5:0.05' (inclusive range) or '0.1,0.2,0.3'.  name, the
+    flag the spec came from, leads the error for a value that is not a number."""
     spec = spec.strip()
+
+    def number(v: str) -> float:
+        try:
+            return float(v)
+        except ValueError:
+            raise ValueError(f"{name} {spec!r}: {v.strip()!r} is not a number") from None
+
     if ":" in spec:
         parts = spec.split(":")
         if len(parts) != 3:
             raise ValueError(f"grid spec {spec!r} must be start:stop:step or comma list")
-        start, stop, step = (float(v) for v in parts)
+        start, stop, step = (number(v) for v in parts)
         if not all(math.isfinite(v) for v in (start, stop, step)):
             raise ValueError(f"grid spec {spec!r} needs a finite start, stop and step")
         if step <= 0 or stop < start:
@@ -56,11 +65,7 @@ def _grid(spec: str) -> list:
         n = int(round(span))
         vals = [round(start + i * step, 12) for i in range(n + 1)]
         return [v for v in vals if v <= stop + 1e-12]
-    return [float(v) for v in spec.split(",") if v.strip() != ""]
-
-
-def _jdump(obj) -> str:
-    return json.dumps(obj)
+    return [number(v) for v in spec.split(",") if v.strip() != ""]
 
 
 def _breakdown_dict(bd) -> dict:
@@ -80,17 +85,14 @@ def cmd_bound(args) -> int:
     }
     if args.aform:
         out["a_form"] = _breakdown_dict(fdr_bound_aform(inp, allow_out_of_domain=args.force))
-    print(_jdump(out))
+    print(json.dumps(out))
     return EXIT_OK
 
 
 def cmd_curve(args) -> int:
-    lams = _grid(args.lambdas)
-    rhos = _grid(args.rhos)
-    cap = rho_max()
-    bad = [r for r in rhos if not (0.0 < r < cap)]
-    if bad:
-        raise DomainError("rho", "rho grid outside (0, %.6f): %s" % (cap, ", ".join(repr(r) for r in bad)))
+    lams = _grid(args.lambdas, "--lambdas")
+    rhos = _grid(args.rhos, "--rhos")
+    check_rho_grid(rhos)
     lines = ["lambda,rho,bound,ratio"]
     for lam in lams:
         for rho in sorted(rhos):
@@ -110,7 +112,7 @@ def cmd_simulate(args) -> int:
         source = str(args.config)
     config = config_with_updates(config, flag_updates(vars(args)))
     summary = run_mc(config, threads=args.threads)
-    print(_jdump(summary_json_dict(summary, config_source=source)))
+    print(json.dumps(summary_json_dict(summary, config_source=source)))
     if args.log is not None:
         append_log(summary, args.log)
     return EXIT_OK
@@ -185,43 +187,29 @@ def cmd_adjust(args) -> int:
 
 
 _SECTION_RUNNERS = {
-    "integrals": lambda args: [verify_mod.run_integrals_section()],
-    "m_bound": lambda args: [verify_mod.run_m_bound_section()],
-    "mvt": lambda args: [verify_mod.run_mvt_section()],
-    "lemmas": lambda args: [verify_mod.run_lemmas_section(seed=args.seed,
-                                                          replications=args.reps)],
+    "integrals": lambda args: verify_mod.run_integrals_section(),
+    "m_bound": lambda args: verify_mod.run_m_bound_section(),
+    "mvt": lambda args: verify_mod.run_mvt_section(),
+    "lemmas": lambda args: verify_mod.run_lemmas_section(seed=args.seed,
+                                                         replications=args.reps),
 }
 
 
 def cmd_verify(args) -> int:
     sections = list(_SECTION_RUNNERS) if args.section == "all" else [args.section]
-    results = []
-    for name in sections:
-        results.extend(_SECTION_RUNNERS[name](args))
-    payload = []
-    any_fail = False
+    results = [_SECTION_RUNNERS[name](args) for name in sections]
     for sec in results:
         for rep in sec.reports:
-            payload.append({
-                "section": rep.section,
-                "grid": [list(g) for g in rep.grid],
-                "observed": rep.observed,
-                "claimed": rep.claimed,
-                "max_violation": rep.max_violation,
-                "stderr": rep.stderr,
-                "notes": rep.notes,
-            })
             flag = " (VIOLATIONS REPORTED)" if rep.max_violation > 0 else ""
             print(f"section {rep.section}: {len(rep.grid)} points, "
                   f"max violation {rep.max_violation!r}{flag}")
-        if not sec.asserted_pass:
-            any_fail = True
-            for msg in sec.failures:
-                print(f"ASSERTED FAILURE: {msg}", file=sys.stderr)
+        for msg in sec.failures:
+            print(f"ASSERTED FAILURE: {msg}", file=sys.stderr)
     if args.out is not None:
+        payload = [dataclasses.asdict(rep) for sec in results for rep in sec.reports]
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(_jdump(payload) + "\n")
-    return EXIT_VERIFY_FAIL if any_fail else EXIT_OK
+            fh.write(json.dumps(payload) + "\n")
+    return EXIT_OK if all(sec.asserted_pass for sec in results) else EXIT_VERIFY_FAIL
 
 
 def build_parser() -> argparse.ArgumentParser:

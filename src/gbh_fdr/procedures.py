@@ -214,21 +214,16 @@ def gbh1_weights_loo(gp: GroupedPValues, lam: float, k: int) -> GBHWeights:
     if not (0 <= int(k) < gp.m):
         raise ValueError(f"index k={k} outside range(0, {gp.m})")
     k = int(k)
-    p = gp.pvalues
     m, g = gp.m, gp.g
-    below_k = 1 if p[k] <= lam else 0
-    r_per_group = []
-    for j, idx in enumerate(gp.groups):
-        r_j = int(np.count_nonzero(p[idx] <= lam))
-        if gp.labels[k] == j:
-            r_j -= below_k
-        r_per_group.append(r_j)
+    below = gp.pvalues <= lam
+    counts = np.bincount(gp.labels[below], minlength=g)
+    if below[k]:
+        counts[gp.labels[k]] -= 1
+    r_per_group = counts.tolist()
     r_total = sum(r_per_group)
-    w = []
-    for j, idx in enumerate(gp.groups):
-        n_j, r_j = idx.size, r_per_group[j]
-        w.append((n_j - r_j) * (r_total + g) / (m * (1.0 - lam) * (r_j + 1)))
-    return GBHWeights(w=tuple(w), r_total=r_total, r_per_group=tuple(r_per_group))
+    w = tuple((n_j - r_j) * (r_total + g) / (m * (1.0 - lam) * (r_j + 1))
+              for n_j, r_j in zip(gp.group_sizes, r_per_group))
+    return GBHWeights(w=w, r_total=r_total, r_per_group=tuple(r_per_group))
 
 
 def gbh1(gp: GroupedPValues, lam: float, alpha: float) -> RejectionResult:

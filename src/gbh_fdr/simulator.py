@@ -113,13 +113,8 @@ class SimConfig:
         return tuple(out)
 
     def null_mask(self) -> np.ndarray:
-        """True where the mean is zero."""
-        mask = np.ones(self.m, dtype=bool)
-        start = 0
-        for n, c in zip(self.group_sizes, self.nonnull_counts):
-            mask[start:start + c] = False
-            start += n
-        return mask
+        """True where the mean is zero (every effect_mu is finite and > 0)."""
+        return self.mu_vector() == 0.0
 
     def mu_vector(self) -> np.ndarray:
         mu = np.zeros(self.m)
@@ -185,8 +180,9 @@ def _block_words(seed: int, lo: int, hi: int, width: int) -> np.ndarray:
     return words
 
 
-def _uniforms(seed: int, index: int, n: int) -> np.ndarray:
-    """n lattice uniforms from the Philox stream keyed (seed, index)."""
+def stream_uniforms(seed: int, index: int, n: int) -> np.ndarray:
+    """n lattice uniforms from the one Philox stream keyed (seed, index):
+    the draw behind the audits' pre-sampled p-value matrices."""
     return _lattice(_block_words(seed, index, index + 1, n)[0])
 
 
@@ -295,43 +291,50 @@ def run_mc_conditional(config: SimConfig, x0: float, threads: int = 1) -> SimSum
 
 # --- flat key=value config files ------------------------------------------
 
-_KEY_TO_FIELD = {
-    "m": "m", "group_sizes": "group_sizes", "nonnull_counts": "nonnull_counts",
-    "effect_mu": "effect_mu", "rho": "rho", "lambda": "lam", "alpha": "alpha",
-    "procedure": "procedure", "replications": "replications", "seed": "seed",
+def _int_list(raw: str) -> tuple:
+    return tuple(int(v) for v in raw.split(",") if v.strip() != "")
+
+
+def _float_or_list(raw: str):
+    parts = [v for v in raw.split(",") if v.strip() != ""]
+    return float(parts[0]) if len(parts) == 1 else tuple(float(v) for v in parts)
+
+
+# key -> (SimConfig field, parser), in the JSON summary's order.  Parsers get
+# the value already stripped; list parsers skip empty items.
+_CONFIG_KEYS = {
+    "m": ("m", int),
+    "group_sizes": ("group_sizes", _int_list),
+    "nonnull_counts": ("nonnull_counts", _int_list),
+    "effect_mu": ("effect_mu", _float_or_list),
+    "rho": ("rho", float),
+    "lambda": ("lam", float),
+    "alpha": ("alpha", float),
+    "procedure": ("procedure", str),
+    "replications": ("replications", int),
+    "seed": ("seed", int),
 }
 
 
-def _parse_value(field: str, raw: str):
-    raw = raw.strip()
-    if field in ("m", "replications", "seed"):
-        return int(raw)
-    if field in ("group_sizes", "nonnull_counts"):
-        return tuple(int(v) for v in raw.split(",") if v.strip() != "")
-    if field == "effect_mu":
-        parts = [v for v in raw.split(",") if v.strip() != ""]
-        return float(parts[0]) if len(parts) == 1 else tuple(float(v) for v in parts)
-    if field == "procedure":
-        return raw
-    return float(raw)
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
 # (flag, field) per config key: the command line spells each key as a flag.
-CONFIG_FLAGS = tuple(("--" + key.replace("_", "-"), field)
-                     for key, field in _KEY_TO_FIELD.items())
+CONFIG_FLAGS = tuple((_flag(key), field) for key, (field, _) in _CONFIG_KEYS.items())
 
 
 def flag_updates(values: dict) -> dict:
     """Field updates from raw flag strings keyed by field name (None: flag
     not given), parsed with the config-file grammar."""
     updates = {}
-    for flag, field in CONFIG_FLAGS:
+    for key, (field, parse) in _CONFIG_KEYS.items():
         raw = values.get(field)
         if raw is not None:
             try:
-                updates[field] = _parse_value(field, raw)
+                updates[field] = parse(raw.strip())
             except ValueError as exc:
-                raise ConfigError(f"{flag}: bad value {raw!r}: {exc}") from exc
+                raise ConfigError(f"{_flag(key)}: bad value {raw!r}: {exc}") from exc
     return updates
 
 
@@ -365,11 +368,11 @@ def load_config_file(path) -> dict:
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, raw = (part.strip() for part in line.split("=", 1))
-            if key not in _KEY_TO_FIELD:
+            if key not in _CONFIG_KEYS:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            field = _KEY_TO_FIELD[key]
+            field, parse = _CONFIG_KEYS[key]
             try:
-                updates[field] = _parse_value(field, raw)
+                updates[field] = parse(raw)
             except ValueError as exc:
                 raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
     return updates
@@ -383,20 +386,12 @@ def config_with_updates(base: SimConfig, updates: dict) -> SimConfig:
 
 def summary_json_dict(summary: SimSummary, config_source: str = "builtin-defaults") -> dict:
     """Fixed-key-order dict for JSON output; floats keep full repr precision."""
-    cfg = summary.config
+    config = {}
+    for key, (field, _) in _CONFIG_KEYS.items():
+        value = getattr(summary.config, field)
+        config[key] = list(value) if isinstance(value, tuple) else value
     return {
-        "config": {
-            "m": cfg.m,
-            "group_sizes": list(cfg.group_sizes),
-            "nonnull_counts": list(cfg.nonnull_counts),
-            "effect_mu": list(cfg.effect_mu) if isinstance(cfg.effect_mu, tuple) else cfg.effect_mu,
-            "rho": cfg.rho,
-            "lambda": cfg.lam,
-            "alpha": cfg.alpha,
-            "procedure": cfg.procedure,
-            "replications": cfg.replications,
-            "seed": cfg.seed,
-        },
+        "config": config,
         "config_source": config_source,
         "defaults_note": "default campaign settings are this package's desk-scale choices",
         "replications_run": summary.replications_run,

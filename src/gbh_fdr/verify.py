@@ -27,9 +27,10 @@ import numpy as np
 
 from .bound import (DomainError, ab_from_rho, exact_p_conditional,
                     integrals_closed, m_factor, rho_max)
+# phi is unused here but stays: perfbench/tracing.py patches verify.phi.
 from .normal import SQRT_2PI, norm_cdf, norm_quantile, phi
 from .procedures import GroupedPValues, gbh1
-from .simulator import SimConfig, _uniforms, pvalues_from_sample
+from .simulator import SimConfig, pvalues_from_sample, stream_uniforms
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -43,27 +44,34 @@ class VerifyReport:
     """One audit section's scan.
 
     grid holds the evaluation points, observed/claimed the two sides being
-    compared, and max_violation = max(observed - claimed): positive means
-    some claim in the section is exceeded.  stderr carries Monte Carlo
-    standard errors when the section estimates expectations.
+    compared, and max_violation = max(observed - claimed), derived from them
+    on construction: positive means some claim in the section is exceeded.
+    stderr carries Monte Carlo standard errors when the section estimates
+    expectations.  The field order is the key order of the JSON record.
     """
 
     section: str
     grid: list
     observed: list
     claimed: list
-    max_violation: float
-    notes: str = ""
+    max_violation: float = field(init=False)
     stderr: Optional[list] = None
+    notes: str = ""
+
+    def __post_init__(self):
+        self.max_violation = max(o - c for o, c in zip(self.observed, self.claimed))
 
 
 @dataclass
 class SectionResult:
-    """Reports plus the asserted-invariant outcome for one section."""
+    """Reports plus the failed asserted invariants of one section."""
 
     reports: list
-    asserted_pass: bool
     failures: list = field(default_factory=list)
+
+    @property
+    def asserted_pass(self) -> bool:
+        return not self.failures
 
 
 def f_ratio(a: float, b: float, x):
@@ -197,12 +205,20 @@ def quad_integrals(a: float) -> tuple:
 def _conditional_pvalue_matrix(config: SimConfig, x0: float, tag: int) -> np.ndarray:
     """(replications, m) conditional null-model p-values from one dedicated
     substream keyed (seed, tag); deterministic given the config."""
-    u = _uniforms(config.seed, tag, config.replications * config.m).reshape(
+    u = stream_uniforms(config.seed, tag, config.replications * config.m).reshape(
         config.replications, config.m)
     z = norm_quantile(u)
     y = config.mu_vector()[None, :] + math.sqrt(1.0 - config.rho) * z \
         + math.sqrt(config.rho) * x0
     return pvalues_from_sample(y)
+
+
+def _mean_and_se(values: np.ndarray) -> tuple:
+    """Mean of per-replication values and its Monte Carlo standard error."""
+    if values.size < 2:
+        raise ValueError("a Monte Carlo standard error needs at least 2 replications, "
+                         f"got {values.size}")
+    return float(values.mean()), float(values.std(ddof=1) / math.sqrt(values.size))
 
 
 def check_rejection_expectation(config: SimConfig, x0: float, c: float) -> VerifyReport:
@@ -226,15 +242,13 @@ def check_rejection_expectation(config: SimConfig, x0: float, c: float) -> Verif
         res = gbh1(partition.with_pvalues(pmat[r]), config.lam, config.alpha)
         if res.k_star > 0 and pmat[r, k] <= c * res.k_star:
             terms[r] = 1.0 / res.k_star
-    est = float(terms.mean())
-    se = float(terms.std(ddof=1) / math.sqrt(config.replications))
+    est, se = _mean_and_se(terms)
     cap = c * m_factor(config.rho, x0)
     return VerifyReport(
         section="lemma_expect_rejections",
         grid=[(config.rho, x0, c)],
         observed=[est],
         claimed=[cap],
-        max_violation=est - cap,
         notes="E[1{p_k <= cR}/R | x0] for the first null index vs c*m_factor; "
               "reported, not asserted",
         stderr=[se],
@@ -277,8 +291,7 @@ def check_loo_expectation(config: SimConfig, x0: float, h_choice: str = "paper_h
         else:
             h = 1.0
         per_rep_lhs += h / (n_j - r_j_loo)
-    lhs = float(per_rep_lhs.mean())
-    lhs_se = float(per_rep_lhs.std(ddof=1) / math.sqrt(config.replications))
+    lhs, lhs_se = _mean_and_se(per_rep_lhs)
 
     if h_choice == "paper_h":
         h_full = (r_j + 1.0) / (r_tot + g)
@@ -286,15 +299,14 @@ def check_loo_expectation(config: SimConfig, x0: float, h_choice: str = "paper_h
         h_full = np.ones(config.replications)
     p_exceed = exact_p_conditional(config.lam, config.rho, x0) if config.rho > 0 \
         else 1.0 - config.lam
-    rhs = float(h_full.mean()) / p_exceed
-    rhs_se = float(h_full.std(ddof=1) / math.sqrt(config.replications)) / p_exceed
+    h_mean, h_se = _mean_and_se(h_full)
+    rhs, rhs_se = h_mean / p_exceed, h_se / p_exceed
 
     return VerifyReport(
         section="lemma_expect_loo",
         grid=[(config.rho, x0, h_choice, group_index)],
         observed=[lhs],
         claimed=[rhs],
-        max_violation=lhs - rhs,
         notes="leave-one-out expectation sum vs per-group cap; reported, not asserted",
         stderr=[lhs_se, rhs_se],
     )
@@ -323,12 +335,10 @@ def run_integrals_section(a_values=INTEGRAL_AS) -> SectionResult:
             claimed.append(REL_TOL_INTEGRALS)
             if rel > REL_TOL_INTEGRALS:
                 failures.append(f"integral i{k} at a={a}: rel err {rel:.3e}")
-    max_violation = max(o - c for o, c in zip(observed, claimed))
-    report = VerifyReport(section="integrals", grid=grid, observed=observed,
-                          claimed=claimed, max_violation=max_violation,
+    report = VerifyReport(section="integrals", grid=grid, observed=observed, claimed=claimed,
                           notes="observed = |quadrature - closed|/|closed|, "
                                 "claimed = tolerance; asserted")
-    return SectionResult(reports=[report], asserted_pass=not failures, failures=failures)
+    return SectionResult(reports=[report], failures=failures)
 
 
 def run_m_bound_section(rhos=SCAN_RHOS, x0s=SCAN_X0S) -> SectionResult:
@@ -356,13 +366,11 @@ def run_m_bound_section(rhos=SCAN_RHOS, x0s=SCAN_X0S) -> SectionResult:
             claimed.append(cap)
             if x0 <= 0.0 and sup > min(2.0, a) + 1e-6:
                 failures.append(f"x0<=0 branch exceeded at rho={rho}, x0={x0}: sup={sup}")
-    max_violation = max(o - c for o, c in zip(observed, claimed))
-    report = VerifyReport(section="m_bound", grid=grid, observed=observed,
-                          claimed=claimed, max_violation=max_violation,
+    report = VerifyReport(section="m_bound", grid=grid, observed=observed, claimed=claimed,
                           notes="observed = true supremum of the tail ratio, claimed = "
                                 "m_factor cap; positive margins on the x0 > 0 branch are "
                                 "recorded findings, not failures")
-    return SectionResult(reports=[report], asserted_pass=not failures, failures=failures)
+    return SectionResult(reports=[report], failures=failures)
 
 
 def run_mvt_section(rhos=SCAN_RHOS, x0s=SCAN_X0S) -> SectionResult:
@@ -382,12 +390,10 @@ def run_mvt_section(rhos=SCAN_RHOS, x0s=SCAN_X0S) -> SectionResult:
             grid.append((rho, x0))
             observed.append(res)
             claimed.append(0.0)
-    max_violation = max(o - c for o, c in zip(observed, claimed))
-    report = VerifyReport(section="mvt_identity", grid=grid, observed=observed,
-                          claimed=claimed, max_violation=max_violation,
+    report = VerifyReport(section="mvt_identity", grid=grid, observed=observed, claimed=claimed,
                           notes="observed = max |identity residual| over x in [-8, 8]; "
                                 "nonzero values are recorded findings, not failures")
-    return SectionResult(reports=[report], asserted_pass=not failures, failures=failures)
+    return SectionResult(reports=[report], failures=failures)
 
 
 def run_lemmas_section(seed: int = 20260822, replications: int = 20000) -> SectionResult:
@@ -405,4 +411,4 @@ def run_lemmas_section(seed: int = 20260822, replications: int = 20000) -> Secti
                         effect_mu=2.0, rho=1e-9, lam=0.5, alpha=0.05,
                         procedure="gbh1", replications=replications, seed=seed)
     reports.append(check_loo_expectation(low_rho, 0.0, "constant_one"))
-    return SectionResult(reports=reports, asserted_pass=True, failures=[])
+    return SectionResult(reports=reports)

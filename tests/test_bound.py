@@ -328,3 +328,8 @@ def test_curve_rows_are_consistent():
 def test_curve_propagates_domain_error():
     with pytest.raises(DomainError):
         bound_curve([0.5], [0.35], 0.05)
+
+def test_curve_names_every_bad_rho():
+    with pytest.raises(DomainError, match=r"^rho grid outside \(0, 0\.344247\): 0\.35, -0\.1$") as info:
+        bound_curve([0.5], [0.1, 0.35, -0.1], 0.05)
+    assert info.value.constraint == "rho"

@@ -5,12 +5,15 @@ Every test drives main(argv) in-process and checks the exit-code contract
 byte determinism of primary outputs, and fixed JSON/CSV shapes.
 """
 
+import importlib
+import importlib.util
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -195,6 +198,17 @@ def test_curve_hostile_grid_spec_exits_2_quoting_it(capsys, tmp_path, spec, reas
                            "--out", str(tmp_path / "x.csv"))
     assert (rc, out) == (EXIT_INPUT, "")
     assert err == f"error: grid spec {spec!r} {reason}\n"
+    assert not (tmp_path / "x.csv").exists()
+
+@pytest.mark.parametrize("flag, spec, bad", [("--lambdas", "x", "x"),
+                                             ("--rhos", "0.1:0.2:x", "x"),
+                                             ("--rhos", "0.1,,abc", "abc")])
+def test_curve_non_number_in_grid_names_flag_and_spec(capsys, tmp_path, flag, spec, bad):
+    grids = {"--lambdas": "0.5", "--rhos": "0.1", flag: spec}
+    rc, out, err = run_cli(capsys, "curve", *(f"{f}={v}" for f, v in grids.items()),
+                           "--out", str(tmp_path / "x.csv"))
+    assert (rc, out) == (EXIT_INPUT, "")
+    assert err == f"error: {flag} {spec!r}: {bad!r} is not a number\n"
     assert not (tmp_path / "x.csv").exists()
 
 def test_grid_point_cap_is_exact(monkeypatch):
@@ -591,6 +605,17 @@ def test_verify_all_covers_every_section(capsys):
                  "section lemma_expect_rejections:", "section lemma_expect_loo:"):
         assert name in out
 
+def test_verify_lemmas_one_replication_exits_2_naming_the_count(capsys, tmp_path):
+    report = tmp_path / "audit.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")       # no numpy RuntimeWarning either
+        rc, out, err = run_cli(capsys, "verify", "--section", "lemmas", "--reps", "1",
+                               "--out", str(report))
+    assert (rc, out) == (EXIT_INPUT, "")
+    assert err == ("error: a Monte Carlo standard error needs at least 2 "
+                   "replications, got 1\n")
+    assert not report.exists()
+
 def test_verify_requires_section_flag(capsys):
     rc, _, _ = run_cli(capsys, "verify")
     assert rc == EXIT_INPUT
@@ -646,3 +671,34 @@ def test_scalar_subcommands_never_import_scipy(tmp_path):
         # the array paths do load it, so the checks above are not vacuous
         "simulate 0 scipy True",
     ]
+
+
+# ---------------------------------------------------------------------------
+# the benchmark's tracer
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+def test_benchmark_tracer_patches_and_restores_every_name(capsys):
+    # perfbench/tracing.py patches names where the package looks them up;
+    # a rename or a dropped import there breaks `perfbench/run.py --trace 1`.
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    originals = {(mod, attr): getattr(importlib.import_module(mod), attr)
+                 for mod, attr, _ in tracing.PATCHES}
+    verify_mod = cli.verify_mod
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        for (mod, attr), fn in originals.items():
+            assert getattr(importlib.import_module(mod), attr) is not fn, f"{mod}.{attr}"
+        assert sorted(vars(cli.verify_mod)) == sorted(tracing.VERIFY_SECTIONS)
+        rc, _, _ = run_cli(capsys, "bound", "--lambda", "0.5", "--rho", "0.1",
+                           "--alpha", "0.05")
+    finally:
+        tracer.uninstall()
+    assert rc == EXIT_OK
+    assert tracer.layer_totals()["calls"]["bound"] == 1
+    for (mod, attr), fn in originals.items():
+        assert getattr(importlib.import_module(mod), attr) is fn, f"{mod}.{attr}"
+    assert cli.verify_mod is verify_mod

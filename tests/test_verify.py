@@ -7,6 +7,7 @@ genuinely exceeded (that is a recorded result, not a bug), the identity
 residuals are nonzero, and everything is deterministic.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -15,7 +16,9 @@ import pytest
 from gbh_fdr import (
     DomainError,
     QuadratureError,
+    SectionResult,
     SimConfig,
+    VerifyReport,
     check_loo_expectation,
     check_rejection_expectation,
     f_ratio,
@@ -242,6 +245,16 @@ def test_loo_expectation_independent_constant_h_analytic():
     assert rep.observed[0] == pytest.approx(analytic, abs=4.0 * rep.stderr[0])
     assert rep.max_violation <= 3.0 * rep.stderr[0]
 
+@pytest.mark.parametrize("check, args", [(check_rejection_expectation, (0.0, 0.01)),
+                                         (check_loo_expectation, (0.0, "paper_h"))])
+def test_expectation_checks_need_two_replications(check, args):
+    # One replication has no standard error: std(ddof=1) would be NaN.
+    with pytest.raises(ValueError, match=r"^a Monte Carlo standard error needs at "
+                                         r"least 2 replications, got 1$"):
+        check(lemma_config(replications=1), *args)
+    rep = check(lemma_config(replications=2), *args)
+    assert all(math.isfinite(v) for v in rep.stderr)
+
 def test_loo_expectation_deterministic():
     a = check_loo_expectation(lemma_config(replications=1000), 0.0, "paper_h")
     b = check_loo_expectation(lemma_config(replications=1000), 0.0, "paper_h")
@@ -304,3 +317,20 @@ def test_lemmas_section_structure():
 
 def test_quadrature_error_is_runtime_error():
     assert issubclass(QuadratureError, RuntimeError)
+
+
+# ---------------------------------------------------------------------------
+# report records
+
+def test_report_derives_max_violation_and_section_derives_its_pass():
+    rep = VerifyReport(section="s", grid=[(0.1, 1.0), (0.2, 1.0)],
+                       observed=[1.0, 5.0], claimed=[2.0, 3.0])
+    assert rep.max_violation == 2.0
+    assert list(dataclasses.asdict(rep)) == ["section", "grid", "observed", "claimed",
+                                             "max_violation", "stderr", "notes"]
+    with pytest.raises(TypeError):
+        VerifyReport(section="s", grid=[], observed=[], claimed=[], max_violation=0.0)
+    assert SectionResult(reports=[rep]).asserted_pass
+    assert not SectionResult(reports=[rep], failures=["broken"]).asserted_pass
+    with pytest.raises(TypeError):
+        SectionResult(reports=[rep], asserted_pass=True)
