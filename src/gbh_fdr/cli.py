@@ -16,6 +16,7 @@ import io
 import json
 import math
 import sys
+from itertools import compress, islice, repeat
 
 import numpy as np
 
@@ -41,7 +42,8 @@ GRID_MAX_POINTS = 100_000
 
 def _grid(spec: str, name: str = "grid spec") -> list:
     """Parse '0.05:0.5:0.05' (inclusive range) or '0.1,0.2,0.3'.  name, the
-    flag the spec came from, leads the error for a value that is not a number."""
+    flag the spec came from, leads the error for a value that is not a number
+    and for a list with no values."""
     spec = spec.strip()
 
     def number(v: str) -> float:
@@ -65,7 +67,10 @@ def _grid(spec: str, name: str = "grid spec") -> list:
         n = int(round(span))
         vals = [round(start + i * step, 12) for i in range(n + 1)]
         return [v for v in vals if v <= stop + 1e-12]
-    return [number(v) for v in spec.split(",") if v.strip() != ""]
+    vals = [number(v) for v in spec.split(",") if v.strip() != ""]
+    if not vals:
+        raise ValueError(f"{name} {spec!r}: no values")
+    return vals
 
 
 def _breakdown_dict(bd) -> dict:
@@ -118,11 +123,12 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _read_pvalue_table(path, need_group: bool) -> tuple:
-    """(header, rows, pvalues, labels) from a CSV with a pvalue column and,
-    when needed, a group column.  Errors carry 1-based physical line numbers."""
-    with open_utf8(path, newline="") as fh:
-        reader = csv.reader(fh)
+def _read_csv_rows(text: str, path, need_group: bool) -> tuple:
+    """(header, rows, pvalues, labels) by csv.reader over text: the reference
+    reading, and the one that reports errors.  Errors carry 1-based physical
+    line numbers."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
         try:
             header = next(reader)
         except StopIteration:
@@ -151,15 +157,87 @@ def _read_pvalue_table(path, need_group: bool) -> tuple:
             pvals.append(p)
             labels.append(row[g_idx].strip() if g_idx is not None else "all")
             rows.append(row)
-        if not rows:
-            raise ValueError(f"{path}: no data rows")
+    except csv.Error as exc:  # a field longer than csv.field_size_limit()
+        raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
     return cols, rows, pvals, labels
+
+
+def _split_columns(text: str, need_group: bool):
+    """(header, columns, pvalues, labels) of a table that csv.reader would
+    split at every comma, read column by column; None when it might not
+    (a quote, a carriage return or a NUL in the text, or a line longer than
+    a field may be) or when _read_csv_rows would report an error."""
+    if not text or '"' in text or "\r" in text or "\0" in text:
+        return None
+    lines = text.split("\n")
+    if max(map(len, lines)) > csv.field_size_limit():
+        return None
+    header = lines[0].split(",")
+    cols = [h.strip() for h in header]
+    if "pvalue" not in cols or (need_group and "group" not in cols):
+        return None
+    # A row of only whitespace and commas is blank and skipped, as in _read_csv_rows.
+    body = lines[1:]
+    rows = list(compress(body, map(str.strip, map(str.replace, body, repeat(","), repeat("")))))
+    if not rows or set(map(str.count, rows, repeat(","))) != {len(header) - 1}:
+        return None
+    # Each name is dropped as soon as it is spent, so that the line strings,
+    # the joined text and the flat field list are never all held at once.
+    n, fields = len(rows), ",".join(rows)
+    del lines, body, rows
+    fields = fields.split(",")
+    columns = [fields[j::len(header)] for j in range(len(header))]
+    del fields
+    try:
+        p = np.fromiter(map(float, columns[cols.index("pvalue")]), dtype=float, count=n)
+    except ValueError:
+        return None
+    if not (p.min() >= 0.0 and p.max() <= 1.0):  # NaN fails both
+        return None
+    labels = (list(map(str.strip, columns[cols.index("group")])) if "group" in cols
+              else ["all"] * n)
+    return cols, columns, p, labels
+
+
+def _read_pvalue_table(path, need_group: bool) -> tuple:
+    """(header, columns, pvalues, labels, unquoted) from a CSV with a pvalue
+    column and, when needed, a group column.  columns holds each column's
+    fields as read; unquoted says that none of them needs quoting on output.
+    Errors carry 1-based physical line numbers."""
+    with open_utf8(path, newline="") as fh:
+        text = fh.read()
+    table = _split_columns(text, need_group)
+    if table is not None:
+        return (*table, True)
+    cols, rows, pvals, labels = _read_csv_rows(text, path, need_group)
+    return cols, list(zip(*rows)), np.asarray(pvals), labels, False
+
+
+# Rows per write of an unquoted table: the output is never held whole.
+_WRITE_CHUNK_ROWS = 4096
+
+
+def _write_table(fh, header: list, rows, unquoted: bool) -> None:
+    """header, then rows, as CSV lines ending in \\n.  With unquoted, no field
+    holds a comma, quote, \\r or \\n and every row has two or more fields, so
+    csv.writer would write each row as its fields joined by commas."""
+    if not unquoted:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        return
+    fh.write(",".join(header) + "\n")
+    lines = map(",".join, rows)
+    while chunk := list(islice(lines, _WRITE_CHUNK_ROWS)):
+        chunk.append("")
+        fh.write("\n".join(chunk))
 
 
 def cmd_adjust(args) -> int:
     need_group = args.procedure == "gbh1"
-    cols, rows, pvals, labels = _read_pvalue_table(args.input, need_group)
-    p = np.asarray(pvals)
+    cols, columns, p, labels, unquoted = _read_pvalue_table(args.input, need_group)
     if args.procedure == "gbh1":
         gp = GroupedPValues.from_labels(p, labels)
         res = gbh1(gp, args.lam, args.alpha)
@@ -167,22 +245,17 @@ def cmd_adjust(args) -> int:
         res = storey(p, args.lam, args.alpha)
     else:
         res = bh_step_up(p, args.alpha)
-    rejected = set(res.rejected)
+    rejected = np.zeros(p.size, dtype=bool)
+    rejected[np.asarray(res.rejected, dtype=np.intp)] = True
     keep = [i for i, c in enumerate(cols) if c not in ("weighted_pvalue", "rejected")]
     out_cols = [cols[i] for i in keep] + ["weighted_pvalue", "rejected"]
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(out_cols)
-    for i, row in enumerate(rows):
-        writer.writerow([row[j] for j in keep]
-                        + [repr(float(res.weighted_pvalues[i])),
-                           "true" if i in rejected else "false"])
-    text = buf.getvalue()
+    rows = zip(*(columns[j] for j in keep), map(repr, res.weighted_pvalues.tolist()),
+               map(("false", "true").__getitem__, rejected.tolist()))
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            _write_table(fh, out_cols, rows, unquoted)
     else:
-        sys.stdout.write(text)
+        _write_table(sys.stdout, out_cols, rows, unquoted)
     return EXIT_OK
 
 

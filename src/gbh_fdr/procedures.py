@@ -98,10 +98,14 @@ class GroupedPValues:
     def from_labels(cls, pvalues, labels) -> "GroupedPValues":
         """Build from an arbitrary label per index; groups ordered by first appearance."""
         labels = list(labels)
-        order: dict = {}
-        for i, lab in enumerate(labels):
-            order.setdefault(lab, []).append(i)
-        return cls(np.asarray(pvalues, dtype=float), tuple(np.asarray(v) for v in order.values()))
+        code_of = {lab: j for j, lab in enumerate(dict.fromkeys(labels))}
+        # The narrowest code dtype lets numpy's stable sort run as a radix sort;
+        # a stable sort keeps each group's indices ascending.
+        codes = np.fromiter(map(code_of.__getitem__, labels),
+                            dtype=np.min_scalar_type(len(code_of)), count=len(labels))
+        members = np.argsort(codes, kind="stable")
+        groups = np.split(members, np.cumsum(np.bincount(codes))[:-1]) if code_of else ()
+        return cls(np.asarray(pvalues, dtype=float), tuple(groups))
 
 
 @dataclass(frozen=True)

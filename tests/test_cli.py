@@ -211,6 +211,17 @@ def test_curve_non_number_in_grid_names_flag_and_spec(capsys, tmp_path, flag, sp
     assert err == f"error: {flag} {spec!r}: {bad!r} is not a number\n"
     assert not (tmp_path / "x.csv").exists()
 
+@pytest.mark.parametrize("flag, spec, shown", [("--lambdas", ",", "','"),
+                                               ("--rhos", " ", "''"),
+                                               ("--rhos", " , ,", "', ,'")])
+def test_curve_empty_grid_exits_2_naming_the_flag(capsys, tmp_path, flag, spec, shown):
+    grids = {"--lambdas": "0.5", "--rhos": "0.1", flag: spec}
+    rc, out, err = run_cli(capsys, "curve", *(f"{f}={v}" for f, v in grids.items()),
+                           "--out", str(tmp_path / "x.csv"))
+    assert (rc, out) == (EXIT_INPUT, "")
+    assert err == f"error: {flag} {shown}: no values\n"
+    assert not (tmp_path / "x.csv").exists()
+
 def test_grid_point_cap_is_exact(monkeypatch):
     assert cli.GRID_MAX_POINTS == 100_000
     assert len(cli._grid("0:9999.9:0.1")) == 100_000

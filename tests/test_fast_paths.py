@@ -1,8 +1,9 @@
 """Bit-for-bit tests of the per-replication fast paths.
 
 The quantile's single-pass array path and its scalar path, the re-keyed
-Philox behind the block sampler, the one-pass procedures and
-GroupedPValues.with_pvalues each replaced simpler code.  That earlier code is
+Philox behind the block sampler, the one-pass procedures,
+GroupedPValues.with_pvalues and the sort-based GroupedPValues.from_labels
+each replaced simpler code.  That earlier code is
 kept below as the oracle, and every output is compared byte for byte.  The
 scalar erfc port is compared with scipy.special.erfc, the kernel it ports.
 """
@@ -370,3 +371,61 @@ def test_with_pvalues_rejects_like_constructor(bad):
     with pytest.raises(ValueError) as from_constructor:
         GroupedPValues(bad, GROUPS)
     assert str(from_base.value) == str(from_constructor.value)
+
+
+# ---------------------------------------------------------------------------
+# GroupedPValues.from_labels
+
+def oracle_from_labels(pvalues, labels) -> GroupedPValues:
+    order: dict = {}
+    for i, lab in enumerate(list(labels)):
+        order.setdefault(lab, []).append(i)
+    return GroupedPValues(np.asarray(pvalues, dtype=float),
+                          tuple(np.asarray(v) for v in order.values()))
+
+
+def built_or_error(build, pvalues, labels):
+    try:
+        return build(pvalues, labels)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+# 1, 1.0, True and np.int64(1) are one dict key, as are 0, 0.0 and False.
+label_values = st.one_of(st.integers(-2, 3), st.integers(-2, 3).map(np.int64),
+                         st.sampled_from([1.0, True, 0.0, False, "1", "a", "", " a"]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(labels=st.lists(label_values, max_size=40), extra=st.sampled_from([0, 0, 0, 1, -1]),
+       data=st.data())
+def test_from_labels_matches_oracle(labels, extra, data):
+    n = max(len(labels) + extra, 0)
+    pvalues = data.draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+    got = built_or_error(GroupedPValues.from_labels, pvalues, labels)
+    want = built_or_error(oracle_from_labels, pvalues, labels)
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert got.pvalues.tobytes() == want.pvalues.tobytes()
+    assert got.labels.tobytes() == want.labels.tobytes()
+    assert len(got.groups) == len(want.groups)
+    for a, b in zip(got.groups, want.groups):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_from_labels_empty_input_raises_like_oracle():
+    for labels in ([], iter(())):
+        with pytest.raises(ValueError) as got:
+            GroupedPValues.from_labels([], labels)
+        with pytest.raises(ValueError) as want:
+            oracle_from_labels([], [])
+        assert str(got.value) == str(want.value)
+
+
+def test_from_labels_many_groups_take_a_wider_code():
+    labels = [f"g{i % 70_000}" for i in range(140_000)]
+    gp = GroupedPValues.from_labels(np.full(len(labels), 0.5), labels)
+    assert gp.g == 70_000
+    assert gp.groups[69_999].tolist() == [69_999, 139_999]
+    assert gp.labels[-1] == 69_999
