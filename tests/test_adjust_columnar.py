@@ -2,9 +2,10 @@
 
 Tables that csv.reader would split at every comma are read column by column
 and written with one ",".join per row; everything else goes through
-csv.reader and csv.writer.  The row-by-row reader and writer that `adjust`
-used before are kept below as the oracle, and every table generated here
-must give the same exit code, stdout, stderr and --out bytes through main().
+csv.reader, streaming from the file, and csv.writer.  The row-by-row reader
+and writer that `adjust` used before are kept below as the oracle, and every
+table generated here must give the same exit code, stdout, stderr and --out
+bytes through main().
 """
 
 import contextlib
@@ -270,3 +271,19 @@ def test_adjust_error_writes_no_out_file(capsys, tmp_path, text, flags):
     assert rc == EXIT_INPUT
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+FILLER = b"".join(b"a,0.%d\n" % i for i in range(3000))  # past csv.reader's first read
+
+
+@pytest.mark.parametrize("data, err", [
+    (b"group,pvalue\na,zz\n" + FILLER + b"a,0.5\xff\n", ":2: bad pvalue 'zz'"),
+    (b"group,pvalue\na,0.5\n\xff,0.1\n" + FILLER + b"a,zz\n", ":3: byte 0xff is not UTF-8"),
+    (b"group,pvalue\n" + FILLER + b"\xe9,0.1\n", ":3002: byte 0xe9 is not UTF-8"),
+], ids=["bad row, then a late bad byte", "bad byte, then a late bad row", "late bad byte"])
+def test_adjust_reports_a_bad_row_or_byte_in_file_order(tmp_path, data, err):
+    path = tmp_path / "in.csv"
+    path.write_bytes(data)
+    for procedure, lam, alpha in RUNS[:3]:
+        rc, stdout, stderr, _ = assert_same(str(path), procedure, lam, alpha)
+        assert (rc, stdout, stderr) == (EXIT_INPUT, "", f"error: {path}{err}\n")
