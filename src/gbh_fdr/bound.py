@@ -96,11 +96,12 @@ def _validate_point(lam: float, rho: float, alpha: float,
         # negatives, so no override can ever reach there.
         raise DomainError("rho", f"rho={rho} outside (0, {cap:.6f}); the bound's "
                                  "integrals are finite only below the cubic root")
-    lam_hi = 1.0 if allow_out_of_domain else 0.5
-    if not (0.0 < lam <= lam_hi):
-        raise DomainError("lambda", f"lambda={lam} outside (0, {lam_hi}]"
-                                    + ("" if allow_out_of_domain else
-                                       " (pass the out-of-domain override to explore lambda > 1/2)"))
+    # Even the override stops short of lambda = 1, where the first term is 0/0.
+    ok = 0.0 < lam < 1.0 if allow_out_of_domain else 0.0 < lam <= 0.5
+    if not ok:
+        raise DomainError("lambda", f"lambda={lam} outside " + (
+            "(0, 1)" if allow_out_of_domain else
+            "(0, 0.5] (pass the out-of-domain override to explore lambda > 1/2)"))
 
 
 def in_theorem_domain(lam: float, rho: float, alpha: float) -> bool:

@@ -22,10 +22,9 @@ import numpy as np
 from .bound import (BoundInput, DomainError, check_rho_grid, fdr_bound,
                     fdr_bound_aform, in_theorem_domain)
 from .procedures import GroupedPValues, bh_step_up, gbh1, storey
-from .simulator import (CONFIG_FLAGS, DEFAULTS_SOURCE, ConfigError, SimConfig,
-                        append_log, config_with_updates, flag_updates,
-                        load_config_file, open_utf8, run_mc,
-                        summary_json_dict)
+from .simulator import (CONFIG_FLAGS, DEFAULTS_SOURCE, PROCEDURES, ConfigError,
+                        SimConfig, append_log, config_with_updates, flag_updates,
+                        load_config_file, open_utf8, run_mc, summary_json_dict)
 from . import verify as verify_mod
 
 EXIT_OK = 0
@@ -33,9 +32,9 @@ EXIT_VERIFY_FAIL = 1
 EXIT_INPUT = 2
 EXIT_IO = 3
 
-# The most points one start:stop:step range may expand to.  It is checked
-# before the range is built, so a mistyped step exits 2 instead of filling
-# memory.
+# The most points one start:stop:step range, or one curve grid of lambdas x
+# rhos, may hold.  It is checked before the points are built or evaluated, so
+# a mistyped step exits 2 instead of filling memory.
 GRID_MAX_POINTS = 100_000
 
 
@@ -96,6 +95,9 @@ def cmd_bound(args) -> int:
 def cmd_curve(args) -> int:
     lams = _grid(args.lambdas, "--lambdas")
     rhos = _grid(args.rhos, "--rhos")
+    if len(lams) * len(rhos) > GRID_MAX_POINTS:
+        raise ValueError(f"--lambdas x --rhos is {len(lams)} x {len(rhos)} points, "
+                         f"more than {GRID_MAX_POINTS}")
     check_rho_grid(rhos)
     lines = ["lambda,rho,bound,ratio"]
     for lam in lams:
@@ -109,12 +111,10 @@ def cmd_curve(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    config = SimConfig()
-    source = DEFAULTS_SOURCE
-    if args.config is not None:
-        config = config_with_updates(config, load_config_file(args.config))
-        source = str(args.config)
-    config = config_with_updates(config, flag_updates(vars(args)))
+    # Merged before validation: a file value that a flag replaces is never checked.
+    file_updates = load_config_file(args.config) if args.config is not None else {}
+    config = config_with_updates(SimConfig(), {**file_updates, **flag_updates(vars(args))})
+    source = DEFAULTS_SOURCE if args.config is None else str(args.config)
     summary = run_mc(config, threads=args.threads)
     print(json.dumps(summary_json_dict(summary, config_source=source)))
     if args.log is not None:
@@ -330,13 +330,12 @@ def build_parser() -> argparse.ArgumentParser:
                                                   "(plus group for the grouped procedure)")
     a.add_argument("--lambda", dest="lam", type=float, default=0.5)
     a.add_argument("--alpha", type=float, default=0.05)
-    a.add_argument("--procedure", choices=("gbh1", "storey", "bh"), default="gbh1")
+    a.add_argument("--procedure", choices=PROCEDURES, default="gbh1")
     a.add_argument("--out", default=None, help="write CSV here instead of stdout")
     a.set_defaults(fn=cmd_adjust)
 
     v = sub.add_parser("verify", help="run numerical audits")
-    v.add_argument("--section", choices=("integrals", "m_bound", "mvt", "lemmas", "all"),
-                   required=True)
+    v.add_argument("--section", choices=(*_SECTION_RUNNERS, "all"), required=True)
     v.add_argument("--seed", type=int, default=20260822)
     v.add_argument("--reps", type=int, default=20000,
                    help="Monte Carlo replications for the lemmas section")

@@ -264,13 +264,12 @@ def _mc_loop(config: SimConfig, x0: Optional[float] = None) -> SimSummary:
                 fdp[r] = v / res.k_star
                 tpp[r] = (res.k_star - v) / max(n_alt, 1)
 
-    fdr_hat = float(np.mean(fdp))
-    fdr_se = float(np.std(fdp, ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
-    if n_alt == 0:
-        power_hat = power_se = None
-    else:
-        power_hat = float(np.mean(tpp))
-        power_se = float(np.std(tpp, ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
+    def mean_and_se(x: np.ndarray) -> tuple:
+        se = float(np.std(x, ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
+        return float(np.mean(x)), se
+
+    fdr_hat, fdr_se = mean_and_se(fdp)
+    power_hat, power_se = mean_and_se(tpp) if n_alt else (None, None)
     return SimSummary(fdr_hat=fdr_hat, fdr_se=fdr_se, power_hat=power_hat,
                       power_se=power_se, bound_value=_bound_or_none(config),
                       replications_run=reps, config=config)
@@ -384,7 +383,7 @@ def config_with_updates(base: SimConfig, updates: dict) -> SimConfig:
 
 # --- serialization ---------------------------------------------------------
 
-def summary_json_dict(summary: SimSummary, config_source: str = "builtin-defaults") -> dict:
+def summary_json_dict(summary: SimSummary, config_source: str = DEFAULTS_SOURCE) -> dict:
     """Fixed-key-order dict for JSON output; floats keep full repr precision."""
     config = {}
     for key, (field, _) in _CONFIG_KEYS.items():

@@ -20,7 +20,7 @@ Two kinds of claims are handled very differently:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -281,22 +281,17 @@ def check_loo_expectation(config: SimConfig, x0: float, h_choice: str = "paper_h
     r_tot = below.sum(axis=1).astype(float)
     null_in_group = idx[config.null_mask()[idx]]
 
+    def h(r_group: np.ndarray, r_all: np.ndarray) -> np.ndarray:
+        return (r_group + 1.0) / (r_all + g) if h_choice == "paper_h" else np.ones_like(r_all)
+
     per_rep_lhs = np.zeros(config.replications)
     for k in null_in_group:
         delta = below[:, k].astype(float)
         r_j_loo = r_j - delta
-        r_loo = r_tot - delta
-        if h_choice == "paper_h":
-            h = (r_j_loo + 1.0) / (r_loo + g)
-        else:
-            h = 1.0
-        per_rep_lhs += h / (n_j - r_j_loo)
+        per_rep_lhs += h(r_j_loo, r_tot - delta) / (n_j - r_j_loo)
     lhs, lhs_se = _mean_and_se(per_rep_lhs)
 
-    if h_choice == "paper_h":
-        h_full = (r_j + 1.0) / (r_tot + g)
-    else:
-        h_full = np.ones(config.replications)
+    h_full = h(r_j, r_tot)
     p_exceed = exact_p_conditional(config.lam, config.rho, x0) if config.rho > 0 \
         else 1.0 - config.lam
     h_mean, h_se = _mean_and_se(h_full)
@@ -352,9 +347,8 @@ def run_m_bound_section(rhos=SCAN_RHOS, x0s=SCAN_X0S) -> SectionResult:
     grid, observed, claimed = [], [], []
     failures = []
     for rho in rhos:
-        a, _ = ab_from_rho(rho, 0.0)
         for x0 in x0s:
-            _, b = ab_from_rho(rho, x0)
+            a, b = ab_from_rho(rho, x0)
             crossover = -b / (a - 1.0)
             f_cross = f_ratio(a, b, crossover)
             if abs(f_cross - 1.0) > 1e-9:
@@ -407,8 +401,5 @@ def run_lemmas_section(seed: int = 20260822, replications: int = 20000) -> Secti
         reports.append(check_rejection_expectation(base, x0, c))
     for x0, h in ((0.0, "paper_h"), (0.0, "constant_one"), (2.0, "paper_h")):
         reports.append(check_loo_expectation(base, x0, h))
-    low_rho = SimConfig(m=20, group_sizes=(10, 10), nonnull_counts=(0, 0),
-                        effect_mu=2.0, rho=1e-9, lam=0.5, alpha=0.05,
-                        procedure="gbh1", replications=replications, seed=seed)
-    reports.append(check_loo_expectation(low_rho, 0.0, "constant_one"))
+    reports.append(check_loo_expectation(replace(base, rho=1e-9), 0.0, "constant_one"))
     return SectionResult(reports=reports)

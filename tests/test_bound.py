@@ -249,6 +249,21 @@ def test_bound_lambda_domain_and_override():
     with pytest.raises(DomainError):
         fdr_bound(BoundInput(0.6, 0.4, 0.05), allow_out_of_domain=True)
 
+@pytest.mark.parametrize("evaluate", [fdr_bound, fdr_bound_aform])
+@pytest.mark.parametrize("lam", [1.0, 1.5, 0.0, float("nan")])
+def test_bound_override_interval_is_open_at_one(evaluate, lam):
+    # lambda = 1 makes the first term 0/0: a DomainError, not a ZeroDivisionError
+    with pytest.raises(DomainError, match=fr"^lambda={lam} outside \(0, 1\)$") as e:
+        evaluate(BoundInput(lam, 0.2, 0.05), allow_out_of_domain=True)
+    assert e.value.constraint == "lambda"
+    with pytest.raises(DomainError) as e:
+        evaluate(BoundInput(lam, 0.2, 0.05))
+    assert str(e.value) == (f"lambda={lam} outside (0, 0.5] (pass the out-of-domain "
+                            "override to explore lambda > 1/2)")
+    near_one = evaluate(BoundInput(math.nextafter(1.0, 0.0), 0.2, 0.05),
+                        allow_out_of_domain=True)
+    assert math.isfinite(near_one.total)
+
 def test_bound_alpha_validation():
     for bad in (0.0, 1.0, -0.2):
         with pytest.raises(DomainError) as e:

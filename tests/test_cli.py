@@ -5,6 +5,7 @@ Every test drives main(argv) in-process and checks the exit-code contract
 byte determinism of primary outputs, and fixed JSON/CSV shapes.
 """
 
+import hashlib
 import importlib
 import importlib.util
 import json
@@ -21,7 +22,7 @@ import pytest
 import gbh_fdr
 from gbh_fdr import cli
 from gbh_fdr.cli import EXIT_INPUT, EXIT_IO, EXIT_OK, EXIT_VERIFY_FAIL, main
-from gbh_fdr.simulator import LOG_HEADER
+from gbh_fdr.simulator import LOG_HEADER, PROCEDURES
 
 
 def run_cli(capsys, *argv):
@@ -88,6 +89,13 @@ def test_bound_force_marks_out_of_domain(capsys):
     payload = json.loads(out)
     assert payload["in_theorem_domain"] is False
     assert payload["rho_form"]["total"] > 0.0
+
+@pytest.mark.parametrize("extra", [(), ("--aform",)])
+def test_bound_force_lambda_one_exits_2_without_traceback(capsys, extra):
+    rc, out, err = run_cli(capsys, "bound", "--force", "--lambda", "1", "--rho", "0.2",
+                           "--alpha", "0.05", *extra)
+    assert (rc, out) == (EXIT_INPUT, "")
+    assert err == "error: lambda=1.0 outside (0, 1)\n"
 
 def test_bound_rho_above_cap_exits_2_despite_force(capsys):
     rc, _, err = run_cli(capsys, "bound", "--lambda", "0.5", "--rho", "0.35",
@@ -232,6 +240,23 @@ def test_grid_point_cap_is_exact(monkeypatch):
     with pytest.raises(ValueError, match="has more than 11 points"):
         cli._grid("0:1.05:0.1")     # rounds to 12 points
 
+def test_curve_grid_total_is_capped_before_evaluation(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "GRID_MAX_POINTS", 11)
+    out_path = tmp_path / "c.csv"
+    rc, _, _ = run_cli(capsys, "curve", "--lambdas", "0.5", "--rhos", "0.01:0.11:0.01",
+                       "--out", str(out_path))
+    assert rc == EXIT_OK
+    assert len(out_path.read_text().splitlines()) == 1 + 11
+    out_path.unlink()
+    # each range is within the cap, their product is not
+    evaluated = []
+    monkeypatch.setattr(cli, "fdr_bound", lambda *a, **k: evaluated.append(a))
+    rc, out, err = run_cli(capsys, "curve", "--lambdas", "0.1,0.5", "--rhos",
+                           "0.01:0.06:0.01", "--out", str(out_path))
+    assert (rc, out) == (EXIT_INPUT, "")
+    assert err == "error: --lambdas x --rhos is 2 x 6 points, more than 11\n"
+    assert evaluated == [] and not out_path.exists()
+
 
 # ---------------------------------------------------------------------------
 # simulate
@@ -285,6 +310,44 @@ def test_simulate_config_file_with_flag_override(capsys, tmp_path):
     assert payload["config"]["rho"] == 0.25      # flag wins over file
     assert payload["config"]["m"] == 20          # file wins over defaults
     assert payload["config"]["replications"] == 200
+
+@pytest.mark.parametrize("file_text, flags, expect", [
+    # a file m that fits only the flags' groups
+    ("m = 100\n", ("--group-sizes", "50,50", "--nonnull-counts", "0,0"),
+     {"m": 100, "group_sizes": [50, 50]}),
+    # a file rho out of range, replaced by a flag
+    ("rho = 1.5\n", ("--rho", "0.1"), {"rho": 0.1}),
+])
+def test_simulate_merges_file_and_flags_before_validating(capsys, tmp_path, file_text,
+                                                          flags, expect):
+    cfg = tmp_path / "partial.cfg"
+    cfg.write_text(file_text)
+    rc, out, err = run_cli(capsys, "simulate", "--config", str(cfg), *flags,
+                           "--replications", "50")
+    assert (rc, err) == (EXIT_OK, "")
+    config = json.loads(out)["config"]
+    assert {k: config[k] for k in expect} == expect
+
+@pytest.mark.parametrize("file_text, flags, message", [
+    ("m = 100\n", (), "group_sizes sum to 200, expected m=100"),
+    ("rho = 1.5\n", ("--m", "20", "--group-sizes", "10,10", "--nonnull-counts", "0,0"),
+     "rho=1.5 outside [0, 1)"),
+])
+def test_simulate_file_invalid_on_its_own_still_exits_2(capsys, tmp_path, file_text,
+                                                        flags, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(file_text)
+    rc, out, err = run_cli(capsys, "simulate", "--config", str(cfg), *flags)
+    assert (rc, out) == (EXIT_INPUT, "")
+    assert err == f"error: {message}\n"
+
+def test_simulate_bad_flag_value_over_a_file_names_the_flag(capsys, tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("group_sizes = 10,10\nrho = 1.5\n")
+    for flag, value in (("--group-sizes", "10,x"), ("--rho", "fast")):
+        rc, out, err = run_cli(capsys, "simulate", "--config", str(cfg), flag, value)
+        assert (rc, out) == (EXIT_INPUT, "")
+        assert err.startswith(f"error: {flag}: bad value {value!r}")
 
 def test_simulate_bad_config_key_exits_2_with_location(capsys, tmp_path):
     cfg = tmp_path / "bad.cfg"
@@ -634,6 +697,30 @@ def test_verify_requires_section_flag(capsys):
 def test_verify_rejects_unknown_section(capsys):
     rc, _, _ = run_cli(capsys, "verify", "--section", "everything")
     assert rc == EXIT_INPUT
+
+@pytest.mark.parametrize("argv, choices", [
+    (("adjust", "--input", "x.csv", "--procedure"), PROCEDURES),
+    (("verify", "--section"), (*cli._SECTION_RUNNERS, "all")),
+])
+def test_choices_come_from_their_tables(capsys, argv, choices):
+    assert len(choices) >= 3
+    for value in choices:
+        assert getattr(cli.build_parser().parse_args([*argv, value]), argv[-1][2:]) == value
+    rc, _, err = run_cli(capsys, *argv, "frobnicate")
+    assert rc == EXIT_INPUT
+    listed = err.rsplit("choose from", 1)[1]
+    assert re.findall(r"\w+", listed) == list(choices)
+
+# sha256 of the bytes `verify --section all --reps 400 --seed 7 --out` writes:
+# a change to an audit kernel that moves one bit of any report changes it
+VERIFY_ALL_400_SHA256 = "19ba2c5810b7e356f91c53f050a252d164f1ee6b986f98a664914541de7db4f9"
+
+def test_verify_all_report_bytes_are_pinned(capsys, tmp_path):
+    report = tmp_path / "audit.json"
+    rc, _, _ = run_cli(capsys, "verify", "--section", "all", "--reps", "400",
+                       "--seed", "7", "--out", str(report))
+    assert rc == EXIT_OK
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == VERIFY_ALL_400_SHA256
 
 
 # ---------------------------------------------------------------------------
