@@ -19,11 +19,11 @@ from itertools import compress, islice, repeat
 
 import numpy as np
 
-from .bound import (BoundInput, DomainError, check_rho_grid, fdr_bound,
-                    fdr_bound_aform, in_theorem_domain)
+from .bound import (BoundInput, check_rho_grid, fdr_bound, fdr_bound_aform,
+                    in_theorem_domain)
 from .procedures import GroupedPValues, bh_step_up, gbh1, storey
-from .simulator import (CONFIG_FLAGS, DEFAULTS_SOURCE, PROCEDURES, ConfigError,
-                        SimConfig, append_log, config_with_updates, flag_updates,
+from .simulator import (CONFIG_FLAGS, DEFAULTS_SOURCE, PROCEDURES, SimConfig,
+                        append_log, config_with_updates, flag_updates,
                         load_config_file, open_utf8, run_mc, summary_json_dict)
 from . import verify as verify_mod
 
@@ -115,7 +115,7 @@ def cmd_simulate(args) -> int:
     file_updates = load_config_file(args.config) if args.config is not None else {}
     config = config_with_updates(SimConfig(), {**file_updates, **flag_updates(vars(args))})
     source = DEFAULTS_SOURCE if args.config is None else str(args.config)
-    summary = run_mc(config, threads=args.threads)
+    summary = run_mc(config)
     print(json.dumps(summary_json_dict(summary, config_source=source)))
     if args.log is not None:
         append_log(summary, args.log)
@@ -353,7 +353,7 @@ def main(argv=None) -> int:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     try:
         return args.fn(args)
-    except (DomainError, ConfigError, ValueError) as exc:
+    except ValueError as exc:  # DomainError and ConfigError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except OSError as exc:

@@ -75,6 +75,11 @@ class SimConfig:
             object.__setattr__(self, "effect_mu", tuple(float(v) for v in self.effect_mu))
         else:
             object.__setattr__(self, "effect_mu", float(self.effect_mu))
+        for name in ("m", "replications", "seed"):
+            try:
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+            except TypeError:
+                raise ConfigError(f"{name}={getattr(self, name)!r} must be an integer") from None
         if self.m < 1:
             raise ConfigError(f"m={self.m} must be >= 1")
         if len(self.group_sizes) == 0 or any(n < 1 for n in self.group_sizes):
@@ -100,10 +105,6 @@ class SimConfig:
             raise ConfigError(f"procedure={self.procedure!r} not one of {PROCEDURES}")
         if self.replications < 1:
             raise ConfigError(f"replications={self.replications} must be >= 1")
-        try:
-            object.__setattr__(self, "seed", operator.index(self.seed))
-        except TypeError:
-            raise ConfigError(f"seed={self.seed!r} must be an integer") from None
 
     def groups(self) -> tuple:
         out, start = [], 0
@@ -241,6 +242,14 @@ def _bound_or_none(config: SimConfig) -> Optional[float]:
     return None
 
 
+def mean_and_se(values: np.ndarray) -> tuple:
+    """Mean of per-replication values and its Monte Carlo standard error."""
+    if values.size < 2:
+        raise ValueError("a Monte Carlo standard error needs at least 2 replications, "
+                         f"got {values.size}")
+    return float(values.mean()), float(values.std(ddof=1) / math.sqrt(values.size))
+
+
 def _mc_loop(config: SimConfig, x0: Optional[float] = None) -> SimSummary:
     reps = config.replications
     # The groups are fixed for the campaign: check the partition once, then
@@ -248,36 +257,30 @@ def _mc_loop(config: SimConfig, x0: Optional[float] = None) -> SimSummary:
     partition = GroupedPValues(np.ones(config.m), config.groups())
     is_null = config.null_mask()
     n_alt = config.n_alternatives()
-    fdp = np.empty(reps)
-    tpp = np.empty(reps)
+    fdp = np.zeros(reps)
+    tpp = np.zeros(reps)
     rows = max(1, _BLOCK_ELEMENTS // (config.m + 1))
     for start in range(0, reps, rows):
         stop = min(start + rows, reps)
         p = pvalues_from_sample(_sample_block(config, start, stop, x0))
         for r in range(start, stop):
             res = _apply_procedure(config, partition, p[r - start])
-            if res.k_star == 0:
-                fdp[r] = 0.0
-                tpp[r] = 0.0
-            else:
+            if res.k_star > 0:
                 v = int(np.count_nonzero(is_null.take(res.rejected)))
                 fdp[r] = v / res.k_star
                 tpp[r] = (res.k_star - v) / max(n_alt, 1)
-
-    def mean_and_se(x: np.ndarray) -> tuple:
-        se = float(np.std(x, ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
-        return float(np.mean(x)), se
-
     fdr_hat, fdr_se = mean_and_se(fdp)
     power_hat, power_se = mean_and_se(tpp) if n_alt else (None, None)
+    bound_value = _bound_or_none(config) if x0 is None else None
     return SimSummary(fdr_hat=fdr_hat, fdr_se=fdr_se, power_hat=power_hat,
-                      power_se=power_se, bound_value=_bound_or_none(config),
+                      power_se=power_se, bound_value=bound_value,
                       replications_run=reps, config=config)
 
 
 def run_mc(config: SimConfig, threads: int = 1) -> SimSummary:
     """Run the campaign, deterministic for a fixed seed.  threads is accepted
-    for compatibility and ignored: replications run in one thread, in order."""
+    for compatibility and ignored: replications run in one thread, in order.
+    Raises ValueError below 2 replications, which leave no standard error."""
     return _mc_loop(config)
 
 
@@ -285,7 +288,7 @@ def run_mc_conditional(config: SimConfig, x0: float, threads: int = 1) -> SimSum
     """Run the campaign with the shared factor pinned at x0; threads is
     ignored as in run_mc.  The attached bound_value is None: the closed form
     speaks to the marginal model."""
-    return replace(_mc_loop(config, float(x0)), bound_value=None)
+    return _mc_loop(config, float(x0))
 
 
 # --- flat key=value config files ------------------------------------------

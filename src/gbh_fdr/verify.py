@@ -30,7 +30,7 @@ from .bound import (DomainError, ab_from_rho, exact_p_conditional,
 # phi is unused here but stays: perfbench/tracing.py patches verify.phi.
 from .normal import SQRT_2PI, norm_cdf, norm_quantile, phi
 from .procedures import GroupedPValues, gbh1
-from .simulator import SimConfig, pvalues_from_sample, stream_uniforms
+from .simulator import SimConfig, mean_and_se, pvalues_from_sample, stream_uniforms
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -146,23 +146,23 @@ def mvt_residual(a: float, b: float, x: float) -> float:
 # --- quadrature cross-check of the closed-form integrals -------------------
 
 def _integrands(a: float) -> list:
-    """The seven raw integrands in b: six over b <= 0, the seventh over
-    b >= 0.  The growth factor exp(+b^2/(8a^2-2(a+1)^2)) and the Gaussian
-    factor are combined into a single exponent before exponentiating — the
-    grown factor alone overflows long after the product has decayed."""
+    """The seven raw integrands in b, each with its half-line's sign: six
+    over b <= 0 (-1.0), the seventh over b >= 0 (1.0).  The growth factor
+    exp(+b^2/(8a^2-2(a+1)^2)) and the Gaussian factor share one exponent:
+    the grown factor alone overflows long after the product has decayed."""
     a2m1 = a * a - 1.0
     decay = 0.5 * (2.0 - a * a) / a2m1
     growth = 1.0 / (8.0 * a * a - 2.0 * (a + 1.0) ** 2)
     gauss = lambda b: np.exp(-decay * b * b)
     grown_gauss = lambda b: np.exp((growth - decay) * b * b)
     return [
-        ("i1", lambda b: gauss(b), (-np.inf, 0.0)),
-        ("i2", lambda b: (a - 1.0) * grown_gauss(b), (-np.inf, 0.0)),
-        ("i3", lambda b: b * b / (4.0 * (a - 1.0)) * grown_gauss(b), (-np.inf, 0.0)),
-        ("i4", lambda b: -b * gauss(b), (-np.inf, 0.0)),
-        ("i5", lambda b: -b * (a - 1.0) * grown_gauss(b), (-np.inf, 0.0)),
-        ("i6", lambda b: -b ** 3 / (4.0 * (a - 1.0)) * grown_gauss(b), (-np.inf, 0.0)),
-        ("i7", lambda b: np.exp(-0.5 * b * b / a2m1) / SQRT_2PI, (0.0, np.inf)),
+        ("i1", lambda b: gauss(b), -1.0),
+        ("i2", lambda b: (a - 1.0) * grown_gauss(b), -1.0),
+        ("i3", lambda b: b * b / (4.0 * (a - 1.0)) * grown_gauss(b), -1.0),
+        ("i4", lambda b: -b * gauss(b), -1.0),
+        ("i5", lambda b: -b * (a - 1.0) * grown_gauss(b), -1.0),
+        ("i6", lambda b: -b ** 3 / (4.0 * (a - 1.0)) * grown_gauss(b), -1.0),
+        ("i7", lambda b: np.exp(-0.5 * b * b / a2m1) / SQRT_2PI, 1.0),
     ]
 
 
@@ -186,13 +186,9 @@ def quad_integrals(a: float) -> tuple:
 
     integrals_closed(a)  # reuse the named domain checks
     out = []
-    for name, f, (lo, hi) in _integrands(a):
-        if lo == -np.inf:
-            cut = _truncation_point(f, -1.0)
-            lo_t, hi_t = -cut, 0.0
-        else:
-            cut = _truncation_point(f, 1.0)
-            lo_t, hi_t = 0.0, cut
+    for name, f, sign in _integrands(a):
+        cut = _truncation_point(f, sign)
+        lo_t, hi_t = (-cut, 0.0) if sign < 0.0 else (0.0, cut)
         val, err = quad(f, lo_t, hi_t, epsabs=0.0, epsrel=1e-10, limit=400)
         if not (err <= 1e-8 * max(abs(val), 1e-300)):
             raise QuadratureError(f"{name}: estimated error {err} exceeds 1e-8 relative at a={a}")
@@ -211,14 +207,6 @@ def _conditional_pvalue_matrix(config: SimConfig, x0: float, tag: int) -> np.nda
     y = config.mu_vector()[None, :] + math.sqrt(1.0 - config.rho) * z \
         + math.sqrt(config.rho) * x0
     return pvalues_from_sample(y)
-
-
-def _mean_and_se(values: np.ndarray) -> tuple:
-    """Mean of per-replication values and its Monte Carlo standard error."""
-    if values.size < 2:
-        raise ValueError("a Monte Carlo standard error needs at least 2 replications, "
-                         f"got {values.size}")
-    return float(values.mean()), float(values.std(ddof=1) / math.sqrt(values.size))
 
 
 def check_rejection_expectation(config: SimConfig, x0: float, c: float) -> VerifyReport:
@@ -242,7 +230,7 @@ def check_rejection_expectation(config: SimConfig, x0: float, c: float) -> Verif
         res = gbh1(partition.with_pvalues(pmat[r]), config.lam, config.alpha)
         if res.k_star > 0 and pmat[r, k] <= c * res.k_star:
             terms[r] = 1.0 / res.k_star
-    est, se = _mean_and_se(terms)
+    est, se = mean_and_se(terms)
     cap = c * m_factor(config.rho, x0)
     return VerifyReport(
         section="lemma_expect_rejections",
@@ -289,12 +277,12 @@ def check_loo_expectation(config: SimConfig, x0: float, h_choice: str = "paper_h
         delta = below[:, k].astype(float)
         r_j_loo = r_j - delta
         per_rep_lhs += h(r_j_loo, r_tot - delta) / (n_j - r_j_loo)
-    lhs, lhs_se = _mean_and_se(per_rep_lhs)
+    lhs, lhs_se = mean_and_se(per_rep_lhs)
 
     h_full = h(r_j, r_tot)
     p_exceed = exact_p_conditional(config.lam, config.rho, x0) if config.rho > 0 \
         else 1.0 - config.lam
-    h_mean, h_se = _mean_and_se(h_full)
+    h_mean, h_se = mean_and_se(h_full)
     rhs, rhs_se = h_mean / p_exceed, h_se / p_exceed
 
     return VerifyReport(
@@ -315,12 +303,12 @@ SCAN_X0S = (-4.0, -3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0, 4.0)
 REL_TOL_INTEGRALS = 1e-6
 
 
-def run_integrals_section(a_values=INTEGRAL_AS) -> SectionResult:
+def run_integrals_section() -> SectionResult:
     """ASSERTED: quadrature and closed forms agree to 1e-6 relative for all
     seven integrals at every a value."""
     grid, observed, claimed = [], [], []
     failures = []
-    for a in a_values:
+    for a in INTEGRAL_AS:
         closed = integrals_closed(a)
         numeric = quad_integrals(a)
         for k, (cv, nv) in enumerate(zip(closed, numeric), start=1):
@@ -336,7 +324,7 @@ def run_integrals_section(a_values=INTEGRAL_AS) -> SectionResult:
     return SectionResult(reports=[report], failures=failures)
 
 
-def run_m_bound_section(rhos=SCAN_RHOS, x0s=SCAN_X0S) -> SectionResult:
+def run_m_bound_section() -> SectionResult:
     """Scan the true tail-ratio supremum against the claimed cap.
 
     ASSERTED: the ratio is 1 at its crossover point (1e-9), and for x0 <= 0
@@ -346,8 +334,8 @@ def run_m_bound_section(rhos=SCAN_RHOS, x0s=SCAN_X0S) -> SectionResult:
     """
     grid, observed, claimed = [], [], []
     failures = []
-    for rho in rhos:
-        for x0 in x0s:
+    for rho in SCAN_RHOS:
+        for x0 in SCAN_X0S:
             a, b = ab_from_rho(rho, x0)
             crossover = -b / (a - 1.0)
             f_cross = f_ratio(a, b, crossover)
@@ -367,18 +355,18 @@ def run_m_bound_section(rhos=SCAN_RHOS, x0s=SCAN_X0S) -> SectionResult:
     return SectionResult(reports=[report], failures=failures)
 
 
-def run_mvt_section(rhos=SCAN_RHOS, x0s=SCAN_X0S) -> SectionResult:
+def run_mvt_section() -> SectionResult:
     """Scan the max absolute residual of the mean-value-style identity over a
     dense x range for each (rho, x0).  ASSERTED: the residual vanishes at
     b = 0, x = 0.  REPORTED: the (nonzero) residual magnitudes."""
     grid, observed, claimed = [], [], []
     failures = []
     x_grid = np.linspace(-8.0, 8.0, 161)
-    for rho in rhos:
+    for rho in SCAN_RHOS:
         a, _ = ab_from_rho(rho, 0.0)
         if abs(mvt_residual(a, 0.0, 0.0)) > 1e-13:
             failures.append(f"residual at (b=0, x=0) not ~0 for rho={rho}")
-        for x0 in x0s:
+        for x0 in SCAN_X0S:
             _, b = ab_from_rho(rho, x0)
             res = max(abs(mvt_residual(a, b, float(x))) for x in x_grid)
             grid.append((rho, x0))

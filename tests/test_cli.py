@@ -5,6 +5,7 @@ Every test drives main(argv) in-process and checks the exit-code contract
 byte determinism of primary outputs, and fixed JSON/CSV shapes.
 """
 
+import ast
 import hashlib
 import importlib
 import importlib.util
@@ -679,6 +680,18 @@ def test_verify_all_covers_every_section(capsys):
                  "section lemma_expect_rejections:", "section lemma_expect_loo:"):
         assert name in out
 
+def test_simulate_one_replication_exits_2_naming_the_count(capsys, tmp_path):
+    log = tmp_path / "campaigns.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")       # no numpy RuntimeWarning either
+        rc, out, err = run_cli(capsys, "simulate", "--m", "20", "--group-sizes", "10,10",
+                               "--nonnull-counts", "0,0", "--replications", "1",
+                               "--log", str(log))
+    assert (rc, out) == (EXIT_INPUT, "")
+    assert err == ("error: a Monte Carlo standard error needs at least 2 "
+                   "replications, got 1\n")
+    assert not log.exists()
+
 def test_verify_lemmas_one_replication_exits_2_naming_the_count(capsys, tmp_path):
     report = tmp_path / "audit.json"
     with warnings.catch_warnings():
@@ -800,3 +813,28 @@ def test_benchmark_tracer_patches_and_restores_every_name(capsys):
     for (mod, attr), fn in originals.items():
         assert getattr(importlib.import_module(mod), attr) is fn, f"{mod}.{attr}"
     assert cli.verify_mod is verify_mod
+
+def test_package_modules_use_every_name_they_import():
+    # The unused-import check.  A name in a module's __all__ counts as used,
+    # and so does a name that perfbench/tracing.py patches in that module: the
+    # tracer looks it up there even when the module no longer calls it.
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    unused = []
+    for path in sorted(Path(gbh_fdr.__file__).resolve().parent.glob("*.py")):
+        module = "gbh_fdr" if path.stem == "__init__" else f"gbh_fdr.{path.stem}"
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        used.update(attr for mod, attr, _ in tracing.PATCHES if mod == module)
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                used.update(ast.literal_eval(node.value))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = (alias.asname or alias.name.split(".")[0] for alias in node.names)
+                unused += [f"{module}.{name}" for name in names if name not in used]
+    assert unused == []

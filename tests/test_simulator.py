@@ -7,10 +7,15 @@ deterministic margin for the pinned seed, not a flaky confidence interval.
 """
 
 import math
+import os
+import string
+import tempfile
 
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gbh_fdr import (
     BoundInput,
@@ -31,6 +36,7 @@ from gbh_fdr import (
 from gbh_fdr.procedures import RejectionResult
 from gbh_fdr.simulator import (
     LOG_HEADER,
+    PROCEDURES,
     append_log,
     config_with_updates,
     load_config_file,
@@ -98,6 +104,22 @@ def test_config_accepts_numpy_integer_seed():
     assert summary_json_dict(run_mc(cfg)) == summary_json_dict(run_mc(small_config(
         seed=5, replications=50)))
 
+@pytest.mark.parametrize("field, value, message", [
+    ("m", 200.0, "m=200.0 must be an integer"),
+    ("replications", 50.0, "replications=50.0 must be an integer"),
+    ("m", "200", "m='200' must be an integer"),
+    ("seed", 1.5, "seed=1.5 must be an integer"),
+])
+def test_config_rejects_non_integral_counts(field, value, message):
+    with pytest.raises(ConfigError) as exc:
+        SimConfig(**{field: value})
+    assert str(exc.value) == message
+
+def test_config_accepts_numpy_integer_counts():
+    cfg = SimConfig(m=np.int64(200), replications=np.int64(50))
+    assert (type(cfg.m), type(cfg.replications)) == (int, int)
+    assert cfg == SimConfig(m=200, replications=50)
+
 def test_config_mask_and_means():
     cfg = SimConfig(m=6, group_sizes=(3, 3), nonnull_counts=(2, 1),
                     effect_mu=(1.5, 2.5), replications=1)
@@ -137,6 +159,14 @@ def test_run_mc_thread_count_invariant():
     assert s1.fdr_se == s4.fdr_se
     assert s1.power_hat == s4.power_hat
     assert s1.bound_value == s4.bound_value
+
+def test_one_replication_has_no_standard_error():
+    cfg = small_config(replications=1)
+    for run in (lambda: run_mc(cfg), lambda: run_mc_conditional(cfg, 0.5)):
+        with pytest.raises(ValueError) as exc:
+            run()
+        assert str(exc.value) == ("a Monte Carlo standard error needs at least 2 "
+                                  "replications, got 1")
 
 def test_run_mc_repeatable():
     cfg = small_config(replications=300)
@@ -375,6 +405,72 @@ def test_load_config_file_errors_carry_line_numbers(tmp_path):
     no_equals.write_text("# fine\njust words\n")
     with pytest.raises(ConfigError, match=r"no_eq\.cfg:2"):
         load_config_file(no_equals)
+
+# The config-file grammar, fuzzed.  Each line is drawn with its verdict: True
+# when load_config_file must reject it.  Integers stay at 1000 or below.
+_INTS = st.integers(-5, 1000).map(str)
+_FLOATS = st.one_of(st.sampled_from(("0.05", "0.3", "nan", "-inf")), st.floats().map(repr))
+_INT_LISTS = st.lists(_INTS, max_size=5).map(", ".join)
+_VALUES = {    # the first choice of each key fits the defaults' four groups of 50
+    "m": st.one_of(st.just("200"), _INTS),
+    "group_sizes": st.one_of(st.just("50,50,50,50"), _INT_LISTS),
+    "nonnull_counts": st.one_of(st.just("0, 0, 10, 50"), _INT_LISTS),
+    "effect_mu": st.lists(_FLOATS, min_size=1, max_size=4).map(",".join),
+    "rho": _FLOATS, "lambda": _FLOATS, "alpha": _FLOATS,
+    "procedure": st.sampled_from((*PROCEDURES, "bonferroni", "")),
+    "replications": _INTS, "seed": _INTS,
+}
+_VALID_LINE = st.sampled_from(sorted(_VALUES)).flatmap(
+    lambda key: _VALUES[key].map(lambda v: (f"{key} = {v}", False)))
+_BAD_NUMBER_LINE = st.tuples(
+    st.sampled_from(sorted(set(_VALUES) - {"procedure"})),
+    st.sampled_from(("fast", "1.5.2", "0x1g", "--3", "1e", "one,two")),
+).map(lambda kv: (f"{kv[0]}={kv[1]}", True))
+_UNKNOWN_KEY_LINE = st.one_of(
+    st.sampled_from(("M", "lam", "threads", "group-sizes", "")),
+    st.text(string.ascii_lowercase + "_", min_size=1, max_size=12),
+).filter(lambda k: k not in _VALUES).map(lambda k: (f"{k} = 1", True))
+_NO_EQUALS_LINE = st.text(string.ascii_letters + string.digits + " .,", max_size=20).filter(
+    str.strip).map(lambda t: (t, True))
+_BLANK_LINE = st.sampled_from(("", "   ", "\t")).map(lambda t: (t, False))
+_COMMENT = st.one_of(st.just(""), st.text(max_size=10).map(lambda c: " # " + c)
+                     .filter(lambda c: "\n" not in c and "\r" not in c))
+_GOOD_LINE = st.tuples(st.one_of(_VALID_LINE, _BLANK_LINE), _COMMENT)
+_BAD_LINE = st.tuples(st.one_of(_BAD_NUMBER_LINE, _UNKNOWN_KEY_LINE, _NO_EQUALS_LINE), _COMMENT)
+
+@settings(max_examples=200, deadline=None)
+@given(good=st.lists(_GOOD_LINE, max_size=8),
+       bad=st.lists(st.tuples(st.integers(0, 8), _BAD_LINE), max_size=2),
+       eol=st.sampled_from(("\n", "\r\n", "\r")), stray=st.one_of(st.none(), st.integers(0, 9)))
+def test_config_grammar_fuzz_raises_only_config_errors(good, bad, eol, stray):
+    lines = [(text + comment, is_bad) for (text, is_bad), comment in good]
+    for at, ((text, is_bad), comment) in bad:
+        lines.insert(at, (text + comment, is_bad))
+    data = [(text + eol).encode("utf-8") for text, _ in lines]
+    byte_line = None
+    if stray is not None and stray < len(data):
+        data[stray] = b"\xff" + data[stray]      # not UTF-8
+        byte_line = stray + 1
+    bad_lines = [n for n, (_, is_bad) in enumerate(lines, start=1) if is_bad]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzz.cfg")
+        with open(path, "wb") as fh:
+            fh.write(b"".join(data))
+        if byte_line is None and not bad_lines:
+            try:
+                config_with_updates(SimConfig(), load_config_file(path))
+            except ConfigError:
+                pass
+            return
+        with pytest.raises(ConfigError) as exc:
+            load_config_file(path)
+    message = str(exc.value)
+    named = int(message[len(path) + 1:].split(":", 1)[0])
+    assert message.startswith(f"{path}:{named}: ")
+    if message.endswith("is not UTF-8"):
+        assert named == byte_line
+    else:
+        assert named == bad_lines[0] and (byte_line is None or bad_lines[0] < byte_line)
 
 def test_per_group_effect_mu_from_file(tmp_path):
     path = tmp_path / "mu.cfg"
