@@ -13,21 +13,32 @@ clipped to [0, 1]; the step-up rule compares raw products against k*alpha/m.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 _PARTITION_MESSAGE = "GroupedPValues: groups must partition the index range exactly"
+_FLOAT64 = np.dtype(float)
+
+
+def _as_float_array(values) -> np.ndarray:
+    """values as a float64 array; a float64 ndarray passes through as is."""
+    if type(values) is np.ndarray and values.dtype is _FLOAT64:
+        return values
+    return np.asarray(values, dtype=float)
 
 
 def _validate_pvalues(pvalues, who: str) -> np.ndarray:
     """pvalues as a float array; rejects anything but a nonempty 1-d vector
-    with every entry in [0, 1].  NaN fails both comparisons."""
-    p = np.asarray(pvalues, dtype=float)
+    with every entry in [0, 1].  argmin and argmax land on the first NaN if
+    there is one, and NaN fails both comparisons."""
+    p = _as_float_array(pvalues)
     if p.ndim != 1 or p.size == 0:
         raise ValueError(f"{who}: pvalues must be a nonempty 1-d vector")
-    if not (p.min() >= 0.0 and p.max() <= 1.0):
+    if not (p[p.argmin()] >= 0.0 and p[p.argmax()] <= 1.0):
         raise ValueError(f"{who}: every p-value must lie in [0, 1]")
     return p
 
@@ -60,21 +71,20 @@ class GroupedPValues:
         object.__setattr__(self, "pvalues", p)
         object.__setattr__(self, "groups", groups)
         object.__setattr__(self, "_labels", labels)
+        object.__setattr__(self, "_sizes", tuple(g.size for g in groups))
 
     def with_pvalues(self, pvalues) -> "GroupedPValues":
         """The same partition over new p-values.
 
-        The groups and labels are shared with this instance, not copied or
-        re-checked; only the p-values are validated.  Equal to
+        The groups, labels and group sizes are shared with this instance, not
+        copied or re-checked; only the p-values are validated.  Equal to
         GroupedPValues(pvalues, self.groups) in every field.
         """
         p = _validate_pvalues(pvalues, "GroupedPValues")
-        if p.size != self.m:
+        if p.size != self.pvalues.size:
             raise ValueError(_PARTITION_MESSAGE)
         out = object.__new__(type(self))
-        object.__setattr__(out, "pvalues", p)
-        object.__setattr__(out, "groups", self.groups)
-        object.__setattr__(out, "_labels", self._labels)
+        out.__dict__.update(self.__dict__, pvalues=p)
         return out
 
     @property
@@ -87,7 +97,7 @@ class GroupedPValues:
 
     @property
     def group_sizes(self) -> tuple:
-        return tuple(int(g.size) for g in self.groups)
+        return self._sizes
 
     @property
     def labels(self) -> np.ndarray:
@@ -142,12 +152,46 @@ def _validate_lambda(lam: float) -> None:
 
 
 def _validate_scores(scores) -> np.ndarray:
-    s = np.asarray(scores, dtype=float)
+    s = _as_float_array(scores)
     if s.ndim != 1 or s.size == 0:
         raise ValueError("scores must be a nonempty 1-d vector")
-    if not s.min() >= 0.0:
+    if not s[s.argmin()] >= 0.0:
         raise ValueError("scores must be >= 0 (inf allowed, NaN not)")
     return s
+
+
+# Step-up thresholds are cached for m up to _CACHED_M: at most
+# _THRESHOLD_CACHE_SIZE arrays of 32 KiB each, read-only so no caller can
+# change a shared one.
+_CACHED_M = 4096
+_THRESHOLD_CACHE_SIZE = 64
+
+
+def _new_thresholds(m: int, alpha: float) -> np.ndarray:
+    """k*alpha/m for k = 1..m, evaluated as alpha*k/m."""
+    thresholds = alpha * np.arange(1, m + 1) / m
+    thresholds.flags.writeable = False
+    return thresholds
+
+
+_cached_thresholds = functools.lru_cache(maxsize=_THRESHOLD_CACHE_SIZE)(_new_thresholds)
+
+
+def _step_up(scores: np.ndarray, alpha: float) -> RejectionResult:
+    """The step-up rule with no validation: scores must be a nonempty 1-d
+    float64 array with no NaN or negative entry, and alpha in (0, 1)."""
+    m = scores.size
+    # float() gives a float, an np.float64 and a 0-d array one hashable key
+    # and the same thresholds bit for bit.
+    thresholds = (_cached_thresholds if m <= _CACHED_M else _new_thresholds)(m, float(alpha))
+    sorted_s = scores.copy()
+    sorted_s.sort()
+    ok = (sorted_s <= thresholds).nonzero()[0]
+    k_star = int(ok[-1]) + 1 if ok.size else 0
+    threshold = k_star * alpha / m
+    rejected = tuple((scores <= threshold).nonzero()[0].tolist()) if k_star else ()
+    return RejectionResult(rejected=rejected, k_star=k_star, threshold=threshold,
+                           weighted_pvalues=scores)
 
 
 def bh_step_up(scores, alpha: float) -> RejectionResult:
@@ -158,15 +202,7 @@ def bh_step_up(scores, alpha: float) -> RejectionResult:
     """
     s = _validate_scores(scores)
     _validate_alpha(alpha)
-    m = s.size
-    sorted_s = np.sort(s)
-    thresholds = alpha * np.arange(1, m + 1) / m
-    ok = np.nonzero(sorted_s <= thresholds)[0]
-    k_star = int(ok[-1] + 1) if ok.size else 0
-    threshold = k_star * alpha / m
-    rejected = tuple(np.flatnonzero(s <= threshold).tolist()) if k_star else ()
-    return RejectionResult(rejected=rejected, k_star=k_star, threshold=threshold,
-                           weighted_pvalues=s)
+    return _step_up(s, alpha)
 
 
 def step_up_oracle(scores, alpha: float) -> RejectionResult:
@@ -188,6 +224,18 @@ def step_up_oracle(scores, alpha: float) -> RejectionResult:
     return RejectionResult(rejected=(), k_star=0, threshold=0.0, weighted_pvalues=s)
 
 
+def _gbh1_counts_and_weights(gp: GroupedPValues, lam: float) -> tuple:
+    """(R_j per group, R, w_j per group), the two lists as Python lists."""
+    g = len(gp.groups)
+    r_per_group = np.bincount(gp._labels.compress(gp.pvalues <= lam), minlength=g).tolist()
+    r_total = sum(r_per_group)
+    scale = r_total + g - 1
+    denom = gp.pvalues.size * (1.0 - lam)
+    w = [(n_j - r_j + 1) * scale / (denom * r_j) if r_j else math.inf
+         for n_j, r_j in zip(gp._sizes, r_per_group)]
+    return r_per_group, r_total, w
+
+
 def gbh1_weights(gp: GroupedPValues, lam: float) -> GBHWeights:
     """Adaptive group weights w_j = (n_j - R_j + 1)(R + g - 1)/(m(1-lambda)R_j).
 
@@ -195,13 +243,8 @@ def gbh1_weights(gp: GroupedPValues, lam: float) -> GBHWeights:
     yields w_j = +inf (the group is never rejected).
     """
     _validate_lambda(lam)
-    p = gp.pvalues
-    m, g = gp.m, gp.g
-    r_per_group = tuple(np.bincount(gp.labels[p <= lam], minlength=g).tolist())
-    r_total = sum(r_per_group)
-    w = tuple((n_j - r_j + 1) * (r_total + g - 1) / (m * (1.0 - lam) * r_j) if r_j else math.inf
-              for n_j, r_j in zip(gp.group_sizes, r_per_group))
-    return GBHWeights(w=w, r_total=r_total, r_per_group=r_per_group)
+    r_per_group, r_total, w = _gbh1_counts_and_weights(gp, lam)
+    return GBHWeights(w=tuple(w), r_total=r_total, r_per_group=tuple(r_per_group))
 
 
 def gbh1_weights_loo(gp: GroupedPValues, lam: float, k: int) -> GBHWeights:
@@ -215,9 +258,12 @@ def gbh1_weights_loo(gp: GroupedPValues, lam: float, k: int) -> GBHWeights:
     group is the quantity the domination and monotonicity results speak to.
     """
     _validate_lambda(lam)
-    if not (0 <= int(k) < gp.m):
+    try:
+        k = operator.index(k)
+    except TypeError:
+        raise ValueError(f"index k={k!r} must be an integer") from None
+    if not (0 <= k < gp.m):
         raise ValueError(f"index k={k} outside range(0, {gp.m})")
-    k = int(k)
     m, g = gp.m, gp.g
     below = gp.pvalues <= lam
     counts = np.bincount(gp.labels[below], minlength=g)
@@ -236,13 +282,16 @@ def gbh1(gp: GroupedPValues, lam: float, alpha: float) -> RejectionResult:
     The weighted value for members of an infinite-weight group is +inf
     regardless of the raw p-value: weight +inf means no group member sits at
     or below lambda, so those p-values all exceed lambda > 0 and the
-    0 * inf corner cannot arise.
+    0 * inf corner cannot arise.  The scores need no check: validated
+    p-values times weights that are > 0 or +inf.
     """
-    wts = gbh1_weights(gp, lam)
-    w_by_index = np.asarray(wts.w, dtype=float)[gp.labels]
-    if math.inf in wts.w:
+    _validate_lambda(lam)
+    _validate_alpha(alpha)
+    w = _gbh1_counts_and_weights(gp, lam)[2]
+    w_by_index = np.array(w, dtype=float).take(gp._labels)
+    if math.inf in w:
         assert (gp.pvalues[np.isinf(w_by_index)] > lam).all()
-    return bh_step_up(gp.pvalues * w_by_index, alpha)
+    return _step_up(gp.pvalues * w_by_index, alpha)
 
 
 def storey(pvalues, lam: float, alpha: float) -> RejectionResult:
@@ -254,4 +303,4 @@ def storey(pvalues, lam: float, alpha: float) -> RejectionResult:
     m = p.size
     r = int(np.count_nonzero(p <= lam))
     w = (m - r + 1) / (m * (1.0 - lam))
-    return bh_step_up(p * w, alpha)
+    return _step_up(p * w, alpha)

@@ -69,8 +69,12 @@ class SimConfig:
     seed: int = 20260822
 
     def __post_init__(self):
-        object.__setattr__(self, "group_sizes", tuple(int(n) for n in self.group_sizes))
-        object.__setattr__(self, "nonnull_counts", tuple(int(n) for n in self.nonnull_counts))
+        for name in ("group_sizes", "nonnull_counts"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, tuple(map(operator.index, value)))
+            except TypeError:
+                raise ConfigError(f"{name}={value!r} must be a sequence of integers") from None
         if isinstance(self.effect_mu, (tuple, list, np.ndarray)):
             object.__setattr__(self, "effect_mu", tuple(float(v) for v in self.effect_mu))
         else:

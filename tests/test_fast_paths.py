@@ -1,11 +1,12 @@
 """Bit-for-bit tests of the per-replication fast paths.
 
 The quantile's single-pass array path and its scalar path, the re-keyed
-Philox behind the block sampler, the one-pass procedures,
-GroupedPValues.with_pvalues and the sort-based GroupedPValues.from_labels
-each replaced simpler code.  That earlier code is
-kept below as the oracle, and every output is compared byte for byte.  The
-scalar erfc port is compared with scipy.special.erfc, the kernel it ports.
+Philox behind the block sampler, the one-pass procedures with their shared
+step-up core and threshold cache, GroupedPValues.with_pvalues and the
+sort-based GroupedPValues.from_labels each replaced simpler code.  That
+earlier code is kept below as the oracle, and every output is compared byte
+for byte.  The scalar erfc port is compared with scipy.special.erfc, the
+kernel it ports.
 """
 
 import math
@@ -19,7 +20,7 @@ from scipy.special import erfc
 
 from gbh_fdr import (GBHWeights, GroupedPValues, RejectionResult, bh_step_up,
                      gbh1, gbh1_weights, norm_cdf, norm_quantile, norm_sf,
-                     simulator, storey)
+                     procedures, simulator, storey)
 from gbh_fdr.normal import (_ACKLAM_SPLIT, _INV_SQRT_2, _INV_SQRT_2PI, _MAXLOG,
                             _acklam_central, _acklam_tail, _erfc_scalar)
 
@@ -294,16 +295,88 @@ def grouped_instances(draw):
     return GroupedPValues.from_labels(np.array(pvalues), labels), lam, alpha
 
 
-@settings(max_examples=400, deadline=None)
-@given(grouped_instances())
-def test_procedures_match_oracles(instance):
-    gp, lam, alpha = instance
+@st.composite
+def wide_instances(draw):
+    """m from 15 to 300, drawn from a seeded generator to keep hypothesis fast."""
+    m = draw(st.integers(min_value=15, max_value=300))
+    g = draw(st.integers(min_value=1, max_value=12))
+    lam = draw(st.sampled_from(LAMBDAS))
+    alpha = draw(st.sampled_from((0.05, 0.2, 0.5)))
+    signal_share = draw(st.sampled_from((0.0, 0.1, 0.5)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    pool = np.array([0.0, 1.0, lam, 0.001, 0.01, 0.2, 0.7, 0.95])
+    p = np.where(rng.random(m) < 0.3, rng.choice(pool, m), rng.random(m))
+    p[rng.random(m) < signal_share] *= 1e-3
+    labels = rng.permutation(np.concatenate([np.arange(g), rng.integers(0, g, m - g)]))
+    return GroupedPValues.from_labels(p, labels.tolist()), lam, alpha
+
+
+def assert_procedures_match_oracles(gp, lam, alpha):
     wts, want = gbh1_weights(gp, lam), oracle_gbh1_weights(gp, lam)
     assert wts == want
     assert all(type(r) is int for r in wts.r_per_group) and type(wts.r_total) is int
     assert_same_result(gbh1(gp, lam, alpha), oracle_gbh1(gp, lam, alpha))
     assert_same_result(storey(gp.pvalues, lam, alpha), oracle_storey(gp.pvalues, lam, alpha))
     assert_same_result(bh_step_up(gp.pvalues, alpha), oracle_bh_step_up(gp.pvalues, alpha))
+
+
+@settings(max_examples=400, deadline=None)
+@given(grouped_instances())
+def test_procedures_match_oracles(instance):
+    assert_procedures_match_oracles(*instance)
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_instances())
+def test_procedures_match_oracles_up_to_m300(instance):
+    assert_procedures_match_oracles(*instance)
+
+
+def _ulp_split_k(m, a, b):
+    """A k whose threshold differs between the alphas a < b, or None."""
+    apart = np.flatnonzero(a * np.arange(1, m + 1) / m != b * np.arange(1, m + 1) / m)
+    return int(apart[0]) + 1 if apart.size else None
+
+
+def test_threshold_cache_is_keyed_by_m_and_alpha():
+    # Scores sit exactly on the thresholds of the larger of two alphas one
+    # ulp apart, so a threshold array reused across m or alpha changes k_star.
+    a = 0.05
+    b = float(np.nextafter(a, 1.0))
+    pairs = [(m, alpha) for m in (7, 20, 21, 64, 300)
+             for alpha in (a, b, np.float64(b), 0.2, np.array(0.2))]
+    rng = np.random.default_rng(3)
+    split = 0
+    for i in np.concatenate([rng.permutation(len(pairs)) for _ in range(3)]):
+        m, alpha = pairs[i]
+        k = _ulp_split_k(m, a, b) or m
+        scores = np.ones(m)
+        scores[:k] = b * np.arange(1, k + 1) / m
+        scores = rng.permutation(scores)
+        got = bh_step_up(scores, alpha)
+        assert_same_result(got, oracle_bh_step_up(scores, alpha))
+        split += alpha == a and got.k_star < k
+        gp = GroupedPValues.from_labels(scores / 2.0, rng.integers(0, 3, m).tolist())
+        assert_same_result(gbh1(gp, 0.3, alpha), oracle_gbh1(gp, 0.3, alpha))
+        assert_same_result(storey(gp.pvalues, 0.3, alpha), oracle_storey(gp.pvalues, 0.3, alpha))
+    assert split > 0
+
+
+def test_threshold_cache_stays_bounded_and_read_only():
+    cache = procedures._cached_thresholds
+    cache.cache_clear()
+    for m in range(1, 1001):
+        bh_step_up(np.full(m, 0.5), 0.05)
+        assert cache.cache_info().currsize <= procedures._THRESHOLD_CACHE_SIZE
+    assert cache.cache_info().currsize == procedures._THRESHOLD_CACHE_SIZE
+    cache.cache_clear()
+    big = np.full(procedures._CACHED_M + 1, 0.01)
+    assert_same_result(bh_step_up(big, 0.05), oracle_bh_step_up(big, 0.05))
+    assert cache.cache_info().currsize == 0
+    thresholds = cache(20, 0.05)
+    assert thresholds.tobytes() == (0.05 * np.arange(1, 21) / 20).tobytes()
+    with pytest.raises(ValueError):
+        thresholds[0] = 1.0
 
 
 def test_procedures_match_oracles_on_fixed_cases():
@@ -355,22 +428,69 @@ def test_with_pvalues_shares_the_partition():
     assert new.pvalues is not base.pvalues
 
 
-@pytest.mark.parametrize("bad", [
-    np.array([0.1, np.nan, 0.2, 0.3, 0.4]),
-    np.array([0.1, -0.01, 0.2, 0.3, 0.4]),
-    np.array([0.1, 1.01, 0.2, 0.3, 0.4]),
-    np.full(4, 0.5),
-    np.full(6, 0.5),
-    np.full((5, 1), 0.5),
-    np.empty(0),
-])
-def test_with_pvalues_rejects_like_constructor(bad):
+RANGE = "every p-value must lie in [0, 1]"
+SHAPE = "pvalues must be a nonempty 1-d vector"
+PARTITION = "groups must partition the index range exactly"
+BH_RANGE = "scores must be >= 0 (inf allowed, NaN not)"
+BH_SHAPE = "scores must be a nonempty 1-d vector"
+
+
+# The messages of GroupedPValues and with_pvalues (which gbh1 runs on), of
+# storey and of bh_step_up; None where the input is accepted, as bh_step_up
+# accepts scores above 1 and neither takes a partition.
+REJECTED = [
+    (np.array([0.1, np.nan, 0.2, 0.3, 0.4]), RANGE, RANGE, BH_RANGE),
+    (np.array([0.1, -0.01, 0.2, 0.3, 0.4]), RANGE, RANGE, BH_RANGE),
+    (np.array([0.1, 1.01, 0.2, 0.3, 0.4]), RANGE, RANGE, None),
+    (np.full(4, 0.5), PARTITION, None, None),
+    (np.full(6, 0.5), PARTITION, None, None),
+    (np.full((5, 1), 0.5), SHAPE, SHAPE, BH_SHAPE),
+    (np.empty(0), SHAPE, SHAPE, BH_SHAPE),
+    (np.array([0.1, 0.2, 0.3, 0.4, np.nan]), RANGE, RANGE, BH_RANGE),
+    (np.array([0.1, 0.2, 0.3, 0.4, np.nan, 0.5, 0.6, 0.7, 0.8, 0.9])[::2], RANGE, RANGE,
+     BH_RANGE),
+    ([0.1, -np.inf, 0.2, 0.3, 0.4], RANGE, RANGE, BH_RANGE),
+    (np.array([0.1, np.inf, 0.2, 0.3, 0.4]), RANGE, RANGE, None),
+    (np.array([0, 1, 2, 0, 1]), RANGE, RANGE, None),
+    (np.array([0.1, 1.5, 0.2, 0.3, 0.4], dtype=np.float32), RANGE, RANGE, None),
+]
+
+
+@pytest.mark.parametrize("bad, message, storey_message, bh_message", REJECTED,
+                         ids=[f"bad{i}" for i in range(len(REJECTED))])
+def test_with_pvalues_rejects_like_constructor(bad, message, storey_message, bh_message):
     base = GroupedPValues(np.full(5, 0.5), GROUPS)
     with pytest.raises(ValueError) as from_base:
         base.with_pvalues(bad)
     with pytest.raises(ValueError) as from_constructor:
         GroupedPValues(bad, GROUPS)
-    assert str(from_base.value) == str(from_constructor.value)
+    assert str(from_base.value) == str(from_constructor.value) == f"GroupedPValues: {message}"
+    storey_want = storey_message and f"storey: {storey_message}"
+    for call, want in ((lambda: storey(bad, 0.5, 0.05), storey_want),
+                       (lambda: bh_step_up(bad, 0.05), bh_message)):
+        if want is None:
+            call()
+        else:
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == want
+
+
+@pytest.mark.parametrize("convert", [
+    lambda p: p.tolist(),
+    lambda p: p.astype(np.float32),
+    lambda p: np.repeat(p, 2)[::2],
+    lambda p: (p > 0.4).astype(np.int64),
+])
+def test_public_procedures_accept_array_likes(convert):
+    base = GroupedPValues(np.full(5, 0.5), GROUPS)
+    given = convert(np.array([0.01, 0.5, 0.0, 1.0, 0.3]))
+    p = np.asarray(given, dtype=float)
+    assert base.with_pvalues(given).pvalues.tobytes() == p.tobytes()
+    assert_same_result(gbh1(base.with_pvalues(given), 0.5, 0.2),
+                       oracle_gbh1(GroupedPValues(p, GROUPS), 0.5, 0.2))
+    assert_same_result(storey(given, 0.5, 0.2), oracle_storey(p, 0.5, 0.2))
+    assert_same_result(bh_step_up(given, 0.2), oracle_bh_step_up(p, 0.2))
 
 
 # ---------------------------------------------------------------------------

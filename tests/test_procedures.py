@@ -252,6 +252,25 @@ def test_loo_index_validation():
     with pytest.raises(ValueError):
         gbh1_weights_loo(gp, 0.5, -1)
 
+@pytest.mark.parametrize("k, message", [
+    (1.7, "index k=1.7 must be an integer"),
+    (1.0, "index k=1.0 must be an integer"),
+    ("1", "index k='1' must be an integer"),
+    (None, "index k=None must be an integer"),
+])
+def test_loo_index_must_be_an_integer(k, message):
+    gp = GroupedPValues(np.array([0.1, 0.2, 0.7]), (np.arange(3),))
+    with pytest.raises(ValueError) as exc:
+        gbh1_weights_loo(gp, 0.5, k)
+    assert str(exc.value) == message
+
+def test_loo_index_accepts_numpy_integers():
+    gp = GroupedPValues(np.array([0.1, 0.2, 0.7]), (np.array([0, 2]), np.array([1])))
+    for k in range(3):
+        want = gbh1_weights_loo(gp, 0.5, k)
+        assert gbh1_weights_loo(gp, 0.5, np.int64(k)) == want
+        assert gbh1_weights_loo(gp, 0.5, np.intp(k)) == want
+
 
 # ---------------------------------------------------------------------------
 # weight order properties on seeded random instances

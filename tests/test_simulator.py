@@ -120,6 +120,25 @@ def test_config_accepts_numpy_integer_counts():
     assert (type(cfg.m), type(cfg.replications)) == (int, int)
     assert cfg == SimConfig(m=200, replications=50)
 
+@pytest.mark.parametrize("field, value, message", [
+    ("group_sizes", (2.9, 2.1), "group_sizes=(2.9, 2.1) must be a sequence of integers"),
+    ("group_sizes", ("2", "2"), "group_sizes=('2', '2') must be a sequence of integers"),
+    ("group_sizes", 5, "group_sizes=5 must be a sequence of integers"),
+    ("nonnull_counts", (0.7, 0), "nonnull_counts=(0.7, 0) must be a sequence of integers"),
+    ("nonnull_counts", ("1", 0), "nonnull_counts=('1', 0) must be a sequence of integers"),
+])
+def test_config_rejects_non_integral_group_entries(field, value, message):
+    kwargs = dict(m=4, group_sizes=(2, 2), nonnull_counts=(0, 0), replications=10)
+    with pytest.raises(ConfigError) as exc:
+        SimConfig(**{**kwargs, field: value})
+    assert str(exc.value) == message
+
+def test_config_accepts_numpy_integer_group_entries():
+    cfg = SimConfig(m=4, group_sizes=(np.int64(2), 2), nonnull_counts=[np.int32(1), 0],
+                    replications=10)
+    assert cfg.group_sizes == (2, 2) and cfg.nonnull_counts == (1, 0)
+    assert all(type(n) is int for n in cfg.group_sizes + cfg.nonnull_counts)
+
 def test_config_mask_and_means():
     cfg = SimConfig(m=6, group_sizes=(3, 3), nonnull_counts=(2, 1),
                     effect_mu=(1.5, 2.5), replications=1)
