@@ -204,9 +204,10 @@ def _read_pvalue_table(path, need_group: bool) -> tuple:
     """(header, columns, pvalues, labels, unquoted) from a CSV with a pvalue
     column and, when needed, a group column.  columns holds each column's
     fields as read; unquoted says that none of them needs quoting on output.
-    Errors carry 1-based physical line numbers."""
+    A leading byte-order mark is skipped.  Errors carry 1-based physical line
+    numbers."""
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
             table = _split_columns(fh.read(), need_group)
     except UnicodeDecodeError:
         table = None  # csv.reader reports a bad row before a later bad byte

@@ -21,21 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 
 _PARTITION_MESSAGE = "GroupedPValues: groups must partition the index range exactly"
-_FLOAT64 = np.dtype(float)
-
-
-def _as_float_array(values) -> np.ndarray:
-    """values as a float64 array; a float64 ndarray passes through as is."""
-    if type(values) is np.ndarray and values.dtype is _FLOAT64:
-        return values
-    return np.asarray(values, dtype=float)
 
 
 def _validate_pvalues(pvalues, who: str) -> np.ndarray:
     """pvalues as a float array; rejects anything but a nonempty 1-d vector
     with every entry in [0, 1].  argmin and argmax land on the first NaN if
     there is one, and NaN fails both comparisons."""
-    p = _as_float_array(pvalues)
+    p = np.asarray(pvalues, dtype=float)
     if p.ndim != 1 or p.size == 0:
         raise ValueError(f"{who}: pvalues must be a nonempty 1-d vector")
     if not (p[p.argmin()] >= 0.0 and p[p.argmax()] <= 1.0):
@@ -152,7 +144,7 @@ def _validate_lambda(lam: float) -> None:
 
 
 def _validate_scores(scores) -> np.ndarray:
-    s = _as_float_array(scores)
+    s = np.asarray(scores, dtype=float)
     if s.ndim != 1 or s.size == 0:
         raise ValueError("scores must be a nonempty 1-d vector")
     if not s[s.argmin()] >= 0.0:
@@ -224,16 +216,21 @@ def step_up_oracle(scores, alpha: float) -> RejectionResult:
     return RejectionResult(rejected=(), k_star=0, threshold=0.0, weighted_pvalues=s)
 
 
+def _gbh1_weights(gp: GroupedPValues, r_per_group, r_total: int, lam: float) -> list:
+    """w_j = (n_j - R_j + 1)(R + g - 1)/(m(1-lambda)R_j) at the given counts,
+    +inf where R_j = 0, as a Python list."""
+    scale = r_total + len(gp._sizes) - 1
+    denom = gp.pvalues.size * (1.0 - lam)
+    return [(n_j - r_j + 1) * scale / (denom * r_j) if r_j else math.inf
+            for n_j, r_j in zip(gp._sizes, r_per_group)]
+
+
 def _gbh1_counts_and_weights(gp: GroupedPValues, lam: float) -> tuple:
     """(R_j per group, R, w_j per group), the two lists as Python lists."""
-    g = len(gp.groups)
-    r_per_group = np.bincount(gp._labels.compress(gp.pvalues <= lam), minlength=g).tolist()
+    r_per_group = np.bincount(gp._labels.compress(gp.pvalues <= lam),
+                              minlength=len(gp._sizes)).tolist()
     r_total = sum(r_per_group)
-    scale = r_total + g - 1
-    denom = gp.pvalues.size * (1.0 - lam)
-    w = [(n_j - r_j + 1) * scale / (denom * r_j) if r_j else math.inf
-         for n_j, r_j in zip(gp._sizes, r_per_group)]
-    return r_per_group, r_total, w
+    return r_per_group, r_total, _gbh1_weights(gp, r_per_group, r_total, lam)
 
 
 def gbh1_weights(gp: GroupedPValues, lam: float) -> GBHWeights:
@@ -264,16 +261,13 @@ def gbh1_weights_loo(gp: GroupedPValues, lam: float, k: int) -> GBHWeights:
         raise ValueError(f"index k={k!r} must be an integer") from None
     if not (0 <= k < gp.m):
         raise ValueError(f"index k={k} outside range(0, {gp.m})")
-    m, g = gp.m, gp.g
     below = gp.pvalues <= lam
-    counts = np.bincount(gp.labels[below], minlength=g)
-    if below[k]:
-        counts[gp.labels[k]] -= 1
-    r_per_group = counts.tolist()
+    below[k] = False
+    r_per_group = np.bincount(gp._labels.compress(below), minlength=len(gp._sizes)).tolist()
     r_total = sum(r_per_group)
-    w = tuple((n_j - r_j) * (r_total + g) / (m * (1.0 - lam) * (r_j + 1))
-              for n_j, r_j in zip(gp.group_sizes, r_per_group))
-    return GBHWeights(w=w, r_total=r_total, r_per_group=tuple(r_per_group))
+    # The formula above is gbh1's weight at the counts R_j^(-k) + 1 and R^(-k) + 1.
+    w = _gbh1_weights(gp, [r + 1 for r in r_per_group], r_total + 1, lam)
+    return GBHWeights(w=tuple(w), r_total=r_total, r_per_group=tuple(r_per_group))
 
 
 def gbh1(gp: GroupedPValues, lam: float, alpha: float) -> RejectionResult:

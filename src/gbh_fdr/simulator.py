@@ -41,6 +41,9 @@ _U_DENOM = float(2 ** 53)
 # Cap on the uniforms one sampled block holds (m + 1 per replication, at
 # least one replication): 256 KiB per float64 array of the block.
 _BLOCK_ELEMENTS = 2 ** 15
+# The most elements one array of a campaign or audit may hold: 128 MiB as
+# float64.  Sizes are checked against it before anything is allocated.
+_MAX_ARRAY_ELEMENTS = 2 ** 24
 
 
 class ConfigError(ValueError):
@@ -86,6 +89,8 @@ class SimConfig:
                 raise ConfigError(f"{name}={getattr(self, name)!r} must be an integer") from None
         if self.m < 1:
             raise ConfigError(f"m={self.m} must be >= 1")
+        if self.m + 1 > _MAX_ARRAY_ELEMENTS:
+            raise ConfigError(f"m={self.m}: m + 1 exceeds {_MAX_ARRAY_ELEMENTS} array elements")
         if len(self.group_sizes) == 0 or any(n < 1 for n in self.group_sizes):
             raise ConfigError("group_sizes must be nonempty with every size >= 1")
         if sum(self.group_sizes) != self.m:
@@ -109,6 +114,9 @@ class SimConfig:
             raise ConfigError(f"procedure={self.procedure!r} not one of {PROCEDURES}")
         if self.replications < 1:
             raise ConfigError(f"replications={self.replications} must be >= 1")
+        if self.replications > _MAX_ARRAY_ELEMENTS:
+            raise ConfigError(f"replications={self.replications} exceeds "
+                              f"{_MAX_ARRAY_ELEMENTS} array elements")
 
     def groups(self) -> tuple:
         out, start = [], 0
@@ -282,16 +290,16 @@ def _mc_loop(config: SimConfig, x0: Optional[float] = None) -> SimSummary:
 
 
 def run_mc(config: SimConfig, threads: int = 1) -> SimSummary:
-    """Run the campaign, deterministic for a fixed seed.  threads is accepted
-    for compatibility and ignored: replications run in one thread, in order.
-    Raises ValueError below 2 replications, which leave no standard error."""
+    """Run the campaign, deterministic for a fixed seed.  Replications run in
+    one thread, in order; threads is ignored, and stays because the
+    benchmark's layer timings (perfbench/layers.py) pass it.  Raises
+    ValueError below 2 replications, which leave no standard error."""
     return _mc_loop(config)
 
 
-def run_mc_conditional(config: SimConfig, x0: float, threads: int = 1) -> SimSummary:
-    """Run the campaign with the shared factor pinned at x0; threads is
-    ignored as in run_mc.  The attached bound_value is None: the closed form
-    speaks to the marginal model."""
+def run_mc_conditional(config: SimConfig, x0: float) -> SimSummary:
+    """Run the campaign with the shared factor pinned at x0.  The attached
+    bound_value is None: the closed form speaks to the marginal model."""
     return _mc_loop(config, float(x0))
 
 
@@ -346,9 +354,10 @@ def flag_updates(values: dict) -> dict:
 
 @contextlib.contextmanager
 def open_utf8(path, newline=None):
-    """open(path) as UTF-8 text.  A byte that is not UTF-8 raises ConfigError
-    naming path:line, lines ending at \\n, \\r\\n or \\r as in text mode."""
-    with open(path, "r", encoding="utf-8", newline=newline) as fh:
+    """open(path) as UTF-8 text; a leading byte-order mark is skipped, not
+    read as text.  A byte that is not UTF-8 raises ConfigError naming
+    path:line, lines ending at \\n, \\r\\n or \\r as in text mode."""
+    with open(path, "r", encoding="utf-8-sig", newline=newline) as fh:
         try:
             yield fh
         except UnicodeDecodeError:

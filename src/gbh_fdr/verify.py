@@ -30,7 +30,8 @@ from .bound import (DomainError, ab_from_rho, exact_p_conditional,
 # phi is unused here but stays: perfbench/tracing.py patches verify.phi.
 from .normal import SQRT_2PI, norm_cdf, norm_quantile, phi
 from .procedures import GroupedPValues, gbh1
-from .simulator import SimConfig, mean_and_se, pvalues_from_sample, stream_uniforms
+from .simulator import (_MAX_ARRAY_ELEMENTS, SimConfig, mean_and_se, pvalues_from_sample,
+                        stream_uniforms)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -200,7 +201,11 @@ def quad_integrals(a: float) -> tuple:
 
 def _conditional_pvalue_matrix(config: SimConfig, x0: float, tag: int) -> np.ndarray:
     """(replications, m) conditional null-model p-values from one dedicated
-    substream keyed (seed, tag); deterministic given the config."""
+    substream keyed (seed, tag); deterministic given the config.  Raises
+    ValueError, before drawing, when the matrix exceeds the element budget."""
+    if config.replications * config.m > _MAX_ARRAY_ELEMENTS:
+        raise ValueError(f"replications x m = {config.replications} x {config.m} exceeds "
+                         f"{_MAX_ARRAY_ELEMENTS} array elements")
     u = stream_uniforms(config.seed, tag, config.replications * config.m).reshape(
         config.replications, config.m)
     z = norm_quantile(u)

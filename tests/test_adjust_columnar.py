@@ -287,3 +287,43 @@ def test_adjust_reports_a_bad_row_or_byte_in_file_order(tmp_path, data, err):
     for procedure, lam, alpha in RUNS[:3]:
         rc, stdout, stderr, _ = assert_same(str(path), procedure, lam, alpha)
         assert (rc, stdout, stderr) == (EXIT_INPUT, "", f"error: {path}{err}\n")
+
+
+# ---------------------------------------------------------------------------
+# a leading UTF-8 byte-order mark, as spreadsheet "CSV UTF-8" exports write it
+
+BOM = "\ufeff".encode("utf-8")
+
+
+@pytest.mark.parametrize("text, unquoted", [
+    ("pvalue,group\n0.01,a\n0.2,b\n0.03,a\n", True),
+    ('pvalue,group\n0.01,"a"\r\n0.2,b\r\n0.03,a\r\n', False),
+    ("id,group,pvalue\n1,a,0.01\n2,b,0.2\n3,a,0.03\n", True),
+    ("pvalue,group\n0.01,\ufeffa\n0.2,b\n", True),   # a later mark is text
+], ids=["pvalue first", "quoted", "pvalue last", "mark inside a label"])
+def test_adjust_skips_a_leading_byte_order_mark(tmp_path, text, unquoted):
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_bytes(text.encode("utf-8"))
+    marked.write_bytes(BOM + text.encode("utf-8"))
+    assert cli._read_pvalue_table(str(marked), need_group=True)[4] is unquoted
+    for procedure, lam, alpha in RUNS[:3]:
+        for out in (None, str(tmp_path / "out.csv")):
+            want = assert_same(str(plain), procedure, lam, alpha, out)
+            assert want[0] == EXIT_OK
+            assert assert_same(str(marked), procedure, lam, alpha, out) == want
+    assert ("\ufeff" in cli_run(str(marked), "bh", 0.5, 0.05, None)[1]) == ("\ufeff" in text)
+
+
+@pytest.mark.parametrize("data, err", [
+    (b"", ":1: empty input"),
+    (b"\xffpvalue,group\n0.01,a\n", ":1: byte 0xff is not UTF-8"),
+    (b"pvalue,group\n0.01,a\n0.2,\xff\n", ":3: byte 0xff is not UTF-8"),
+    (b'pvalue,group\n0.01,"a"\n0.2,\xff\n', ":3: byte 0xff is not UTF-8"),
+    (b"group,pvalue\n" + FILLER + b"\xe9,0.1\n", ":3002: byte 0xe9 is not UTF-8"),
+], ids=["mark only", "bad first byte", "bad byte", "bad byte, quoted", "late bad byte"])
+def test_adjust_names_the_line_after_a_byte_order_mark(tmp_path, data, err):
+    path = tmp_path / "in.csv"
+    path.write_bytes(BOM + data)
+    for procedure, lam, alpha in RUNS[:3]:
+        rc, stdout, stderr, _ = assert_same(str(path), procedure, lam, alpha)
+        assert (rc, stdout, stderr) == (EXIT_INPUT, "", f"error: {path}{err}\n")

@@ -9,6 +9,7 @@ import ast
 import hashlib
 import importlib
 import importlib.util
+import inspect
 import json
 import math
 import os
@@ -21,7 +22,7 @@ from pathlib import Path
 import pytest
 
 import gbh_fdr
-from gbh_fdr import cli
+from gbh_fdr import cli, simulator, verify
 from gbh_fdr.cli import EXIT_INPUT, EXIT_IO, EXIT_OK, EXIT_VERIFY_FAIL, main
 from gbh_fdr.simulator import LOG_HEADER, PROCEDURES
 
@@ -457,6 +458,18 @@ def test_simulate_config_not_utf8_names_path_and_line(capsys, tmp_path, ending):
     assert f"{cfg}:4: byte 0xe9 is not UTF-8" in err
     assert "Traceback" not in err
 
+def test_simulate_config_skips_a_leading_byte_order_mark(capsys, tmp_path):
+    cfg = tmp_path / "campaign.cfg"
+    text = "m = 20\ngroup_sizes = 10,10\nnonnull_counts = 0,0\nreplications = 40\n"
+    cfg.write_bytes(text.encode("utf-8"))
+    want = run_cli(capsys, "simulate", "--config", str(cfg))
+    assert want[0] == EXIT_OK
+    cfg.write_bytes("\ufeff".encode("utf-8") + text.encode("utf-8"))
+    assert run_cli(capsys, "simulate", "--config", str(cfg)) == want
+    cfg.write_bytes("\ufeff".encode("utf-8") + b"m = 20\nseed = 5 # caf\xe9\n")
+    rc, out, err = run_cli(capsys, "simulate", "--config", str(cfg))
+    assert (rc, out, err) == (EXIT_INPUT, "", f"error: {cfg}:2: byte 0xe9 is not UTF-8\n")
+
 
 # ---------------------------------------------------------------------------
 # adjust
@@ -703,6 +716,46 @@ def test_verify_lemmas_one_replication_exits_2_naming_the_count(capsys, tmp_path
                    "replications, got 1\n")
     assert not report.exists()
 
+# Sizes past the element budget are refused before anything is allocated:
+# the engine's draws are replaced by a trap, so a missed check fails here
+# instead of filling memory.
+
+def _no_draws(monkeypatch):
+    def trap(*args, **kwargs):
+        raise AssertionError("an over-budget size reached the sampler")
+    monkeypatch.setattr(simulator, "_block_words", trap)
+    monkeypatch.setattr(verify, "stream_uniforms", trap)
+
+@pytest.mark.parametrize("flags, message", [
+    (["--replications", "16777217"], "replications=16777217 exceeds 16777216 array elements"),
+    (["--replications", "1000000000000"],
+     "replications=1000000000000 exceeds 16777216 array elements"),
+    (["--m", "16777216"], "m=16777216: m + 1 exceeds 16777216 array elements"),
+    (["--m", "1000000000000", "--group-sizes", "1000000000000", "--nonnull-counts", "0"],
+     "m=1000000000000: m + 1 exceeds 16777216 array elements"),
+])
+def test_simulate_over_the_element_budget_exits_2(capsys, monkeypatch, tmp_path, flags,
+                                                 message):
+    _no_draws(monkeypatch)
+    log = tmp_path / "campaigns.csv"
+    rc, out, err = run_cli(capsys, "simulate", *flags, "--log", str(log))
+    assert (rc, out, err) == (EXIT_INPUT, "", f"error: {message}\n")
+    assert not log.exists()
+
+@pytest.mark.parametrize("reps, message", [
+    ("1000000000000", "replications=1000000000000 exceeds 16777216 array elements"),
+    ("16777217", "replications=16777217 exceeds 16777216 array elements"),
+    ("838861", "replications x m = 838861 x 20 exceeds 16777216 array elements"),
+])
+def test_verify_lemmas_over_the_element_budget_exits_2(capsys, monkeypatch, tmp_path, reps,
+                                                       message):
+    _no_draws(monkeypatch)
+    report = tmp_path / "audit.json"
+    rc, out, err = run_cli(capsys, "verify", "--section", "lemmas", "--reps", reps,
+                           "--out", str(report))
+    assert (rc, out, err) == (EXIT_INPUT, "", f"error: {message}\n")
+    assert not report.exists()
+
 def test_verify_requires_section_flag(capsys):
     rc, _, _ = run_cli(capsys, "verify")
     assert rc == EXIT_INPUT
@@ -813,6 +866,44 @@ def test_benchmark_tracer_patches_and_restores_every_name(capsys):
     for (mod, attr), fn in originals.items():
         assert getattr(importlib.import_module(mod), attr) is fn, f"{mod}.{attr}"
     assert cli.verify_mod is verify_mod
+
+LAYERS = TRACING.parent / "layers.py"
+LAYER_MODULES = ("normal", "procedures", "simulator", "bound", "verify")
+
+def _attribute_chain(node) -> list:
+    """['procedures', 'GroupedPValues', 'from_labels'] for that attribute
+    chain, or [] when the chain does not start at a plain name."""
+    names = []
+    while isinstance(node, ast.Attribute):
+        names.append(node.attr)
+        node = node.value
+    return [node.id, *reversed(names)] if isinstance(node, ast.Name) else []
+
+def test_benchmark_layer_timings_call_the_package_as_it_is():
+    # perfbench/layers.py calls into the package's modules directly; a renamed
+    # name or a dropped parameter there breaks `perfbench/run.py --trace 1`.
+    # Every chain it reads must resolve, and every call must bind its
+    # positional count and keyword names to the callee's signature.
+    tree = ast.parse(LAYERS.read_text(encoding="utf-8"))
+    called = set()
+    for node in ast.walk(tree):
+        chain = _attribute_chain(node.func if isinstance(node, ast.Call) else node)
+        if not (chain and chain[0] in LAYER_MODULES):
+            continue
+        name, obj = ".".join(chain), importlib.import_module(f"gbh_fdr.{chain[0]}")
+        for attr in chain[1:]:
+            assert hasattr(obj, attr), f"perfbench/layers.py:{node.lineno}: {name}"
+            obj = getattr(obj, attr)
+        if isinstance(node, ast.Call):
+            assert not any(isinstance(a, ast.Starred) for a in node.args), name
+            assert all(k.arg is not None for k in node.keywords), name
+            try:
+                inspect.signature(obj).bind(*node.args, **{k.arg: None for k in node.keywords})
+            except TypeError as exc:
+                raise AssertionError(f"perfbench/layers.py:{node.lineno}: {name}: {exc}")
+            called.add(name)
+    assert {"simulator.run_mc", "verify.run_lemmas_section", "procedures.gbh1",
+            "procedures.GroupedPValues.from_labels", "simulator.SimConfig"} <= called
 
 def test_package_modules_use_every_name_they_import():
     # The unused-import check.  A name in a module's __all__ counts as used,

@@ -3,10 +3,10 @@
 The quantile's single-pass array path and its scalar path, the re-keyed
 Philox behind the block sampler, the one-pass procedures with their shared
 step-up core and threshold cache, GroupedPValues.with_pvalues and the
-sort-based GroupedPValues.from_labels each replaced simpler code.  That
-earlier code is kept below as the oracle, and every output is compared byte
-for byte.  The scalar erfc port is compared with scipy.special.erfc, the
-kernel it ports.
+sort-based GroupedPValues.from_labels each replaced simpler code, and the
+leave-one-out weights now reuse gbh1's weight formula.  That earlier code is
+kept below as the oracle, and every output is compared byte for byte.  The
+scalar erfc port is compared with scipy.special.erfc, the kernel it ports.
 """
 
 import math
@@ -19,8 +19,8 @@ from hypothesis import strategies as st
 from scipy.special import erfc
 
 from gbh_fdr import (GBHWeights, GroupedPValues, RejectionResult, bh_step_up,
-                     gbh1, gbh1_weights, norm_cdf, norm_quantile, norm_sf,
-                     procedures, simulator, storey)
+                     gbh1, gbh1_weights, gbh1_weights_loo, norm_cdf, norm_quantile,
+                     norm_sf, procedures, simulator, storey)
 from gbh_fdr.normal import (_ACKLAM_SPLIT, _INV_SQRT_2, _INV_SQRT_2PI, _MAXLOG,
                             _acklam_central, _acklam_tail, _erfc_scalar)
 
@@ -77,6 +77,19 @@ def oracle_gbh1_weights(gp, lam) -> GBHWeights:
         else:
             w.append((n_j - r_j + 1) * (r_total + g - 1) / (m * (1.0 - lam) * r_j))
     return GBHWeights(w=tuple(w), r_total=r_total, r_per_group=r_per_group)
+
+
+def oracle_gbh1_weights_loo(gp, lam, k) -> GBHWeights:
+    m, g = gp.m, gp.g
+    below = gp.pvalues <= lam
+    counts = np.bincount(gp.labels[below], minlength=g)
+    if below[k]:
+        counts[gp.labels[k]] -= 1
+    r_per_group = counts.tolist()
+    r_total = sum(r_per_group)
+    w = tuple((n_j - r_j) * (r_total + g) / (m * (1.0 - lam) * (r_j + 1))
+              for n_j, r_j in zip(gp.group_sizes, r_per_group))
+    return GBHWeights(w=w, r_total=r_total, r_per_group=tuple(r_per_group))
 
 
 def oracle_gbh1(gp, lam, alpha) -> RejectionResult:
@@ -332,6 +345,27 @@ def test_procedures_match_oracles_up_to_m300(instance):
     assert_procedures_match_oracles(*instance)
 
 
+def assert_loo_weights_match_oracle(gp, lam):
+    for k in range(gp.m):
+        got, want = gbh1_weights_loo(gp, lam, k), oracle_gbh1_weights_loo(gp, lam, k)
+        assert bits(got.w) == bits(want.w)
+        assert got.r_total == want.r_total and type(got.r_total) is int
+        assert got.r_per_group == want.r_per_group
+        assert all(type(r) is int for r in got.r_per_group)
+
+
+@settings(max_examples=400, deadline=None)
+@given(grouped_instances())
+def test_loo_weights_match_oracle(instance):
+    assert_loo_weights_match_oracle(*instance[:2])
+
+
+@settings(max_examples=100, deadline=None)
+@given(wide_instances())
+def test_loo_weights_match_oracle_up_to_m300(instance):
+    assert_loo_weights_match_oracle(*instance[:2])
+
+
 def _ulp_split_k(m, a, b):
     """A k whose threshold differs between the alphas a < b, or None."""
     apart = np.flatnonzero(a * np.arange(1, m + 1) / m != b * np.arange(1, m + 1) / m)
@@ -391,6 +425,7 @@ def test_procedures_match_oracles_on_fixed_cases():
     for p, labels, lam in cases:
         gp = GroupedPValues.from_labels(p, labels)
         assert gbh1_weights(gp, lam) == oracle_gbh1_weights(gp, lam)
+        assert_loo_weights_match_oracle(gp, lam)
         scores = np.array([0.0, np.inf, 0.01, 0.01, 2.0])
         assert_same_result(bh_step_up(scores, 0.2), oracle_bh_step_up(scores, 0.2))
         for alpha in (0.05, 0.5):

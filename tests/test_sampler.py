@@ -141,7 +141,7 @@ def test_results_invariant_to_block_split(monkeypatch, block_elements):
     for t in (1, 2):
         # SimSummary is a dataclass: == compares every field exactly.
         assert run_mc(cfg, threads=t) == reference
-        assert run_mc_conditional(cfg, -1.25, threads=t) == reference_cond
+        assert run_mc_conditional(cfg, -1.25) == reference_cond
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +150,7 @@ def test_results_invariant_to_block_split(monkeypatch, block_elements):
 def test_no_thread_is_started_at_any_thread_count(monkeypatch, capsys):
     cfg = small_config(nonnull_counts=(3, 0, 2, 0), replications=303)
     reference = run_mc(cfg, threads=1)
-    reference_cond = run_mc_conditional(cfg, -1.25, threads=1)
+    reference_cond = run_mc_conditional(cfg, -1.25)
     sim_args = ["simulate", "--m", "20", "--group-sizes", "10,10",
                 "--nonnull-counts", "0,0", "--replications", "60", "--seed", "9"]
     assert main(sim_args + ["--threads", "1"]) == 0
@@ -162,6 +162,6 @@ def test_no_thread_is_started_at_any_thread_count(monkeypatch, capsys):
     monkeypatch.setattr(threading.Thread, "start", refuse)
     for t in (1, 2, 0, -3, 10 ** 6):
         assert run_mc(cfg, threads=t) == reference
-        assert run_mc_conditional(cfg, -1.25, threads=t) == reference_cond
+        assert run_mc_conditional(cfg, -1.25) == reference_cond
     assert main(sim_args + ["--threads", "2"]) == 0
     assert capsys.readouterr().out == reference_out

@@ -139,6 +139,19 @@ def test_config_accepts_numpy_integer_group_entries():
     assert cfg.group_sizes == (2, 2) and cfg.nonnull_counts == (1, 0)
     assert all(type(n) is int for n in cfg.group_sizes + cfg.nonnull_counts)
 
+def test_config_element_budget_bounds_replications_and_m():
+    # Building a config allocates nothing, so the largest sizes it accepts
+    # are built here too.
+    assert SimConfig(replications=2 ** 24).replications == 2 ** 24
+    assert SimConfig(m=2 ** 24 - 1, group_sizes=(2 ** 24 - 1,), nonnull_counts=(0,)).m \
+        == 2 ** 24 - 1
+    with pytest.raises(ConfigError) as exc:
+        SimConfig(replications=2 ** 24 + 1)
+    assert str(exc.value) == "replications=16777217 exceeds 16777216 array elements"
+    with pytest.raises(ConfigError) as exc:
+        SimConfig(m=2 ** 24, group_sizes=(2 ** 24,), nonnull_counts=(0,))
+    assert str(exc.value) == "m=16777216: m + 1 exceeds 16777216 array elements"
+
 def test_config_mask_and_means():
     cfg = SimConfig(m=6, group_sizes=(3, 3), nonnull_counts=(2, 1),
                     effect_mu=(1.5, 2.5), replications=1)

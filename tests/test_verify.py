@@ -28,6 +28,7 @@ from gbh_fdr import (
     quad_integrals,
     sup_f,
 )
+from gbh_fdr import verify
 from gbh_fdr.verify import (
     INTEGRAL_AS,
     run_integrals_section,
@@ -254,6 +255,18 @@ def test_expectation_checks_need_two_replications(check, args):
         check(lemma_config(replications=1), *args)
     rep = check(lemma_config(replications=2), *args)
     assert all(math.isfinite(v) for v in rep.stderr)
+
+@pytest.mark.parametrize("check, args", [(check_rejection_expectation, (0.0, 0.01)),
+                                         (check_loo_expectation, (0.0, "paper_h"))])
+def test_expectation_checks_refuse_a_matrix_over_the_element_budget(monkeypatch, check, args):
+    # 419,431 x 40 is 24 elements over 2^24; the trap shows nothing is drawn.
+    def trap(*_):
+        raise AssertionError("an over-budget matrix reached the sampler")
+    monkeypatch.setattr(verify, "stream_uniforms", trap)
+    cfg = lemma_config(m=40, group_sizes=(20, 20), replications=419_431)
+    with pytest.raises(ValueError, match=r"^replications x m = 419431 x 40 exceeds "
+                                         r"16777216 array elements$"):
+        check(cfg, *args)
 
 def test_loo_expectation_deterministic():
     a = check_loo_expectation(lemma_config(replications=1000), 0.0, "paper_h")
