@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Subcommands: bound, curve, simulate, adjust, verify.  Exit codes:
-0 success, 1 an asserted verification failed, 2 bad input or out-of-domain
-arguments, 3 I/O failure.  All numeric output uses shortest round-trip
-decimals (Python repr) and fixed key/column order, so identical invocations
-produce byte-identical bytes.
+0 success, 1 an asserted verification failed, 2 bad input, out-of-domain
+arguments or too little memory for the sizes asked, 3 I/O failure.  All
+numeric output uses shortest round-trip decimals (Python repr) and fixed
+key/column order, so identical invocations produce byte-identical bytes.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .simulator import (CONFIG_FLAGS, DEFAULTS_SOURCE, PROCEDURES, SimConfig,
                         append_log, config_with_updates, flag_updates,
                         load_config_file, open_utf8, run_mc, summary_json_dict)
 from . import verify as verify_mod
+from .verify import _lemmas_config
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -276,6 +277,8 @@ _SECTION_RUNNERS = {
 
 def cmd_verify(args) -> int:
     sections = list(_SECTION_RUNNERS) if args.section == "all" else [args.section]
+    if "lemmas" in sections:  # refuse a size past the budget before any section runs
+        _lemmas_config(args.seed, args.reps)
     results = [_SECTION_RUNNERS[name](args) for name in sections]
     for sec in results:
         for rep in sec.reports:
@@ -356,6 +359,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except ValueError as exc:  # DomainError and ConfigError among them
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError as exc:  # a size within the budget, on a machine short of memory
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return EXIT_INPUT
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -10,6 +10,11 @@ the CDF, which drives the round-trip error |cdf(quantile(p)) - p| to machine
 precision for p in [1e-12, 1 - 1e-12].  Endpoints map to the +-inf sentinels and those
 propagate through ordinary float arithmetic; nothing here clips.
 
+The array paths work in place: each result is built in one new buffer (the
+quantile in a few) by the same IEEE operations, in the same order, as the
+plain expressions they spell out, so they hold the same bits and never write
+into the caller's array.
+
 All functions accept scalars or numpy arrays and return matching shapes.
 """
 
@@ -106,7 +111,10 @@ def _half_erfc(x, scale: float, name: str):
     arr = np.asarray(x, dtype=float)
     if np.isnan(arr).any():
         raise ValueError(f"{name}: NaN is not a valid argument")
-    return 0.5 * erfc(arr * scale)
+    out = arr * scale
+    erfc(out, out=out)
+    out *= 0.5
+    return out
 
 
 def norm_cdf(x):
@@ -143,12 +151,35 @@ _ACKLAM_SPLIT = 0.02425
 
 
 def _acklam_central(p):
+    # num*q/den with num = ((((a0*r + a1)*r + a2)*r + a3)*r + a4)*r + a5 and den
+    # the same in b, ending in *r + 1.0: Horner in place, one buffer each.  On a
+    # float, += and *= rebind instead.
     a, b = _ACKLAM_A, _ACKLAM_B
     q = p - 0.5
     r = q * q
-    num = ((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]
-    den = (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r) + 1.0
-    return num * q / den
+    num = a[0] * r
+    num += a[1]
+    num *= r
+    num += a[2]
+    num *= r
+    num += a[3]
+    num *= r
+    num += a[4]
+    num *= r
+    num += a[5]
+    den = b[0] * r
+    den += b[1]
+    den *= r
+    den += b[2]
+    den *= r
+    den += b[3]
+    den *= r
+    den += b[4]
+    den *= r
+    den += 1.0
+    num *= q
+    num /= den
+    return num
 
 
 def _acklam_tail(p):
@@ -179,8 +210,9 @@ def norm_quantile(p):
     # Invert on the lower half only: for p >= 1/2 the complement 1-p is exact
     # in IEEE arithmetic, and the lower-tail CDF keeps full relative accuracy,
     # so the Newton polish never runs through the cancellation-limited side.
+    # On [0, 1] the smaller of p and 1-p is exactly the mirrored p.
     mirror = flat > 0.5
-    pm = np.where(mirror, 1.0 - flat, flat)
+    pm = np.minimum(flat, 1.0 - flat)
 
     out = _acklam_central(pm)
     tail = pm < _ACKLAM_SPLIT
@@ -193,13 +225,23 @@ def norm_quantile(p):
     # Newton is only safe where the density has not underflowed; beyond
     # |x| ~ 38 the raw approximation is already the best we can do.  At the
     # -inf sentinel the density is 0 too, so the step is 0 there.
-    dens = _INV_SQRT_2PI * np.exp(-0.5 * out * out)
-    cdf = 0.5 * erfc(-out * _INV_SQRT_2)
+    # The density _INV_SQRT_2PI*exp(-0.5*x*x) and the step
+    # (0.5*erfc(-x*_INV_SQRT_2) - pm)/density, operation for operation, each in
+    # one buffer (x*-c is exactly -x*c).
+    dens = -0.5 * out
+    dens *= out
+    np.exp(dens, out=dens)
+    dens *= _INV_SQRT_2PI
+    step = out * -_INV_SQRT_2
+    erfc(step, out=step)
+    step *= 0.5
+    step -= pm
     live = dens > 0.0
     if live.all():  # the masked form costs several passes more
-        out -= (cdf - pm) / dens
+        step /= dens
+        out -= step
     else:
-        out -= np.where(live, (cdf - pm) / np.where(live, dens, 1.0), 0.0)
+        out -= np.where(live, step / np.where(live, dens, 1.0), 0.0)
 
     np.negative(out, out=out, where=mirror)
     return out.reshape(shape)

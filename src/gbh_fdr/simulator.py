@@ -164,7 +164,15 @@ def _lattice(words: np.ndarray) -> np.ndarray:
     word shifted right by 11, which is exactly what
     Generator.integers(0, 2**53) returns: with a power-of-two range its
     bounded draw never rejects a word."""
-    return ((words >> np.uint64(11)).astype(float) + 0.5) / _U_DENOM
+    u = (words >> np.uint64(11)).astype(float)
+    u += 0.5
+    u /= _U_DENOM
+    return u
+
+
+def _key(seed: int, index: int) -> np.ndarray:
+    """The Philox key of the stream (seed, index), each taken modulo 2^64."""
+    return np.array([int(seed) % (2 ** 64), int(index) % (2 ** 64)], dtype=np.uint64)
 
 
 def _block_words(seed: int, lo: int, hi: int, width: int) -> np.ndarray:
@@ -177,7 +185,7 @@ def _block_words(seed: int, lo: int, hi: int, width: int) -> np.ndarray:
     words but also gather OS entropy for a SeedSequence that a keyed Philox
     never uses.
     """
-    key = np.array([int(seed) % (2 ** 64), int(lo) % (2 ** 64)], dtype=np.uint64)
+    key = _key(seed, lo)
     bitgen = np.random.Philox(key=key)
     words = np.empty((hi - lo, width), dtype=np.uint64)
     words[0] = bitgen.random_raw(width)
@@ -193,10 +201,26 @@ def _block_words(seed: int, lo: int, hi: int, width: int) -> np.ndarray:
     return words
 
 
-def stream_uniforms(seed: int, index: int, n: int) -> np.ndarray:
-    """n lattice uniforms from the one Philox stream keyed (seed, index):
-    the draw behind the audits' pre-sampled p-value matrices."""
-    return _lattice(_block_words(seed, index, index + 1, n)[0])
+def stream_uniforms(seed: int, index: int, rows: int, width: int):
+    """The (rows, width) matrix of lattice uniforms that the one Philox stream
+    keyed (seed, index) fills row by row, yielded in blocks of
+    _BLOCK_ELEMENTS // width rows (at least one): the draw behind the audits'
+    pre-sampled p-value matrices.  Each random_raw call continues the stream,
+    so the blocks hold the words of one draw of rows x width."""
+    bitgen = np.random.Philox(key=_key(seed, index))
+    step = max(1, _BLOCK_ELEMENTS // width)
+    for start in range(0, rows, step):
+        n = min(step, rows - start)
+        yield _lattice(bitgen.random_raw(n * width).reshape(n, width))
+
+
+def _mix(config: SimConfig, z: np.ndarray, x0) -> np.ndarray:
+    """y = mu + sqrt(1-rho)*z + sqrt(rho)*x0, summed in that order, in one new
+    array; x0 is a float or a column of the rows' own factors."""
+    y = math.sqrt(1.0 - config.rho) * z
+    y += config.mu_vector()
+    y += math.sqrt(config.rho) * x0
+    return y
 
 
 def _sample_block(config: SimConfig, lo: int, hi: int, x0: Optional[float] = None) -> np.ndarray:
@@ -211,7 +235,7 @@ def _sample_block(config: SimConfig, lo: int, hi: int, x0: Optional[float] = Non
     z = norm_quantile(_lattice(_block_words(config.seed, lo, hi, width)))
     if x0 is None:
         x0, z = z[:, :1], z[:, 1:]
-    return config.mu_vector() + math.sqrt(1.0 - config.rho) * z + math.sqrt(config.rho) * x0
+    return _mix(config, z, x0)
 
 
 def generate_sample(config: SimConfig, rep_index: int) -> tuple:
@@ -227,7 +251,8 @@ def generate_sample_conditional(config: SimConfig, rep_index: int, x0: float) ->
 def pvalues_from_sample(y) -> np.ndarray:
     """One-sided p-values 1 - cdf(y), clipped into the open unit interval."""
     p = norm_sf(np.asarray(y, dtype=float))
-    return np.clip(p, _P_FLOOR, _P_CEIL)
+    # An array comes back new, so it is clipped in place; a scalar as a float.
+    return np.clip(p, _P_FLOOR, _P_CEIL, out=p if isinstance(p, np.ndarray) else None)
 
 
 def false_discovery_proportion(result: RejectionResult, is_null) -> float:

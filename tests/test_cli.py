@@ -756,6 +756,48 @@ def test_verify_lemmas_over_the_element_budget_exits_2(capsys, monkeypatch, tmp_
     assert (rc, out, err) == (EXIT_INPUT, "", f"error: {message}\n")
     assert not report.exists()
 
+@pytest.mark.parametrize("reps, message", [
+    ("1000000", "replications x m = 1000000 x 20 exceeds 16777216 array elements"),
+    ("16777217", "replications=16777217 exceeds 16777216 array elements"),
+], ids=["matrix", "replications"])
+def test_verify_all_refuses_an_over_budget_size_before_any_section(capsys, monkeypatch,
+                                                                  tmp_path, reps, message):
+    _no_draws(monkeypatch)
+    def trap():
+        raise AssertionError("a section ran before the lemmas size was checked")
+    for name in ("run_integrals_section", "run_m_bound_section", "run_mvt_section"):
+        monkeypatch.setattr(verify, name, trap)
+    report = tmp_path / "audit.json"
+    rc, out, err = run_cli(capsys, "verify", "--section", "all", "--reps", reps,
+                           "--out", str(report))
+    assert (rc, out, err) == (EXIT_INPUT, "", f"error: {message}\n")
+    assert not report.exists()
+
+# A size within the budget can still be more than the machine holds: that is
+# exit 2 with one line, as for any other size, never a traceback.
+
+@pytest.mark.parametrize("message, shown", [
+    ("Unable to allocate 128. MiB for an array with shape (838860, 20) and data type float64",
+     "error: out of memory: Unable to allocate 128. MiB for an array with shape (838860, 20) "
+     "and data type float64\n"),
+    ("", "error: out of memory\n"),
+], ids=["numpy's message", "no message"])
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_memory_error_exits_2_with_one_line(capsys, monkeypatch, tmp_path, command, message,
+                                            shown):
+    def short_of_memory(*args, **kwargs):
+        raise MemoryError(message)
+    written = tmp_path / "written"
+    if command == "simulate":
+        monkeypatch.setattr(cli, "run_mc", short_of_memory)
+        argv = ["simulate", "--replications", "2", "--log", str(written)]
+    else:
+        monkeypatch.setattr(verify, "run_lemmas_section", short_of_memory)
+        argv = ["verify", "--section", "lemmas", "--out", str(written)]
+    rc, out, err = run_cli(capsys, *argv)
+    assert (rc, out, err) == (EXIT_INPUT, "", shown)
+    assert not written.exists()
+
 def test_verify_requires_section_flag(capsys):
     rc, _, _ = run_cli(capsys, "verify")
     assert rc == EXIT_INPUT

@@ -265,6 +265,38 @@ def test_scalar_cdf_and_sf_reject_nan_like_array_path(fn):
     assert messages == {f"{fn.__name__}: NaN is not a valid argument"}
 
 
+def _clipped_sf(y):
+    return np.clip(0.5 * erfc(y * _INV_SQRT_2), 1e-300, np.nextafter(1.0, 0.0))
+
+
+_REALS = np.concatenate([-_EDGE_MAGNITUDES, _EDGE_MAGNITUDES,
+                         np.random.default_rng(3).standard_normal(600) * 9.0])
+
+
+# The array kernels build their results in place; each runs on an input it may
+# not write (read-only, or a strided view of a larger array) and must give the
+# oracle's bits and leave every byte of that input as it was.
+@pytest.mark.parametrize("kernel, oracle, values", [
+    (norm_quantile, oracle_quantile, EDGES),
+    (norm_sf, lambda x: 0.5 * erfc(x * _INV_SQRT_2), _REALS),
+    (norm_cdf, lambda x: 0.5 * erfc(x * -_INV_SQRT_2), _REALS),
+    (simulator.pvalues_from_sample, _clipped_sf, _REALS),
+], ids=["norm_quantile", "norm_sf", "norm_cdf", "pvalues_from_sample"])
+@pytest.mark.parametrize("layout", ["read-only", "strided"])
+def test_array_kernels_leave_their_input_alone(kernel, oracle, values, layout):
+    base = np.tile(values, 3)
+    if layout == "read-only":
+        arg = base
+        arg.flags.writeable = False
+    else:
+        arg = base.reshape(3, -1)[:, ::2]
+    before = base.tobytes()
+    out = kernel(arg)
+    assert out.shape == arg.shape
+    assert out.tobytes() == oracle(arg).tobytes()
+    assert base.tobytes() == before
+
+
 # ---------------------------------------------------------------------------
 # re-keyed Philox
 
