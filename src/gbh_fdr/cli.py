@@ -26,7 +26,6 @@ from .simulator import (CONFIG_FLAGS, DEFAULTS_SOURCE, PROCEDURES, SimConfig,
                         append_log, config_with_updates, flag_updates,
                         load_config_file, open_utf8, run_mc, summary_json_dict)
 from . import verify as verify_mod
-from .verify import _lemmas_config
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -39,10 +38,9 @@ EXIT_IO = 3
 GRID_MAX_POINTS = 100_000
 
 
-def _grid(spec: str, name: str = "grid spec") -> list:
+def _grid(spec: str, name: str) -> list:
     """Parse '0.05:0.5:0.05' (inclusive range) or '0.1,0.2,0.3'.  name, the
-    flag the spec came from, leads the error for a value that is not a number
-    and for a list with no values."""
+    flag the spec came from, leads every error."""
     spec = spec.strip()
 
     def number(v: str) -> float:
@@ -54,15 +52,15 @@ def _grid(spec: str, name: str = "grid spec") -> list:
     if ":" in spec:
         parts = spec.split(":")
         if len(parts) != 3:
-            raise ValueError(f"grid spec {spec!r} must be start:stop:step or comma list")
+            raise ValueError(f"{name} {spec!r} must be start:stop:step or comma list")
         start, stop, step = (number(v) for v in parts)
         if not all(math.isfinite(v) for v in (start, stop, step)):
-            raise ValueError(f"grid spec {spec!r} needs a finite start, stop and step")
+            raise ValueError(f"{name} {spec!r} needs a finite start, stop and step")
         if step <= 0 or stop < start:
-            raise ValueError(f"grid spec {spec!r} has an empty range")
+            raise ValueError(f"{name} {spec!r} has an empty range")
         span = (stop - start) / step  # inf when stop - start overflows
         if not span < GRID_MAX_POINTS - 0.5:  # round(span) + 1 points
-            raise ValueError(f"grid spec {spec!r} has more than {GRID_MAX_POINTS} points")
+            raise ValueError(f"{name} {spec!r} has more than {GRID_MAX_POINTS} points")
         n = int(round(span))
         vals = [round(start + i * step, 12) for i in range(n + 1)]
         return [v for v in vals if v <= stop + 1e-12]
@@ -277,9 +275,9 @@ _SECTION_RUNNERS = {
 
 def cmd_verify(args) -> int:
     sections = list(_SECTION_RUNNERS) if args.section == "all" else [args.section]
-    if "lemmas" in sections:  # refuse a size past the budget before any section runs
-        _lemmas_config(args.seed, args.reps)
-    results = [_SECTION_RUNNERS[name](args) for name in sections]
+    # lemmas runs first: a size it refuses ends the run before any other section's work
+    ran = {name: _SECTION_RUNNERS[name](args) for name in sorted(sections, key="lemmas".__ne__)}
+    results = [ran[name] for name in sections]
     for sec in results:
         for rep in sec.reports:
             flag = " (VIOLATIONS REPORTED)" if rep.max_violation > 0 else ""

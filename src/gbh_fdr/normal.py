@@ -204,15 +204,12 @@ def norm_quantile(p):
     if np.isnan(arr).any() or (arr < 0.0).any() or (arr > 1.0).any():
         raise ValueError("norm_quantile: p must lie in [0, 1]")
 
-    shape = arr.shape
-    flat = arr.ravel()
-
     # Invert on the lower half only: for p >= 1/2 the complement 1-p is exact
     # in IEEE arithmetic, and the lower-tail CDF keeps full relative accuracy,
     # so the Newton polish never runs through the cancellation-limited side.
     # On [0, 1] the smaller of p and 1-p is exactly the mirrored p.
-    mirror = flat > 0.5
-    pm = np.minimum(flat, 1.0 - flat)
+    mirror = arr > 0.5
+    pm = np.minimum(arr, 1.0 - arr)
 
     out = _acklam_central(pm)
     tail = pm < _ACKLAM_SPLIT
@@ -237,14 +234,11 @@ def norm_quantile(p):
     step *= 0.5
     step -= pm
     live = dens > 0.0
-    if live.all():  # the masked form costs several passes more
-        step /= dens
-        out -= step
-    else:
-        out -= np.where(live, step / np.where(live, dens, 1.0), 0.0)
+    np.divide(step, dens, out=step, where=live)
+    np.subtract(out, step, out=out, where=live)
 
     np.negative(out, out=out, where=mirror)
-    return out.reshape(shape)
+    return out
 
 
 def _quantile_scalar(p: float) -> float:

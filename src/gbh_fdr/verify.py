@@ -199,20 +199,15 @@ def quad_integrals(a: float) -> tuple:
 
 # --- Monte Carlo checks of the two conditional-expectation results ---------
 
-def _check_matrix_budget(config: SimConfig) -> None:
-    """Raise ValueError when a (replications, m) matrix exceeds the element budget."""
-    if config.replications * config.m > _MAX_ARRAY_ELEMENTS:
-        raise ValueError(f"replications x m = {config.replications} x {config.m} exceeds "
-                         f"{_MAX_ARRAY_ELEMENTS} array elements")
-
-
 def _conditional_pvalue_matrix(config: SimConfig, x0: float, tag: int) -> np.ndarray:
     """(replications, m) conditional null-model p-values from one dedicated
     substream keyed (seed, tag); deterministic given the config.  The stream
     is drawn and transformed a block of rows at a time into the one output
     array.  Raises ValueError, before drawing, when the matrix exceeds the
     element budget."""
-    _check_matrix_budget(config)
+    if config.replications * config.m > _MAX_ARRAY_ELEMENTS:
+        raise ValueError(f"replications x m = {config.replications} x {config.m} exceeds "
+                         f"{_MAX_ARRAY_ELEMENTS} array elements")
     out = np.empty((config.replications, config.m))
     start = 0
     for u in stream_uniforms(config.seed, tag, config.replications, config.m):
@@ -391,21 +386,12 @@ def run_mvt_section() -> SectionResult:
     return SectionResult(reports=[report], failures=failures)
 
 
-def _lemmas_config(seed: int, replications: int) -> SimConfig:
-    """The lemmas section's desk config.  Raises ConfigError or ValueError,
-    naming the size, when it or its (replications, m) matrices exceed the
-    element budget, so that the CLI can refuse it before any section runs."""
-    config = SimConfig(m=20, group_sizes=(10, 10), nonnull_counts=(0, 0),
-                       effect_mu=2.0, rho=0.2, lam=0.5, alpha=0.05,
-                       procedure="gbh1", replications=replications, seed=seed)
-    _check_matrix_budget(config)
-    return config
-
-
 def run_lemmas_section(seed: int = 20260822, replications: int = 20000) -> SectionResult:
     """Monte Carlo scans of the two conditional-expectation results on small
     desk configs; all comparisons are reported with standard errors."""
-    base = _lemmas_config(seed, replications)
+    base = SimConfig(m=20, group_sizes=(10, 10), nonnull_counts=(0, 0),
+                     effect_mu=2.0, rho=0.2, lam=0.5, alpha=0.05,
+                     procedure="gbh1", replications=replications, seed=seed)
     reports = []
     for x0, c in ((0.0, 0.0025), (2.0, 0.0025), (2.0, 0.05)):
         reports.append(check_rejection_expectation(base, x0, c))

@@ -200,14 +200,19 @@ def test_curve_bad_grid_spec_exits_2(capsys, tmp_path):
     ("0:0.34:1e-12", "has more than 100000 points"),
     ("0:1:5e-324", "has more than 100000 points"),
     ("-1e308:1e308:1", "has more than 100000 points"),   # stop - start overflows
+    ("0.3:0.1:0.01", "has an empty range"),
+    ("0.1:0.2:0", "has an empty range"),
+    ("0.1:0.2", "must be start:stop:step or comma list"),
+    ("0:1:0.1:2", "must be start:stop:step or comma list"),
 ])
 def test_curve_hostile_grid_spec_exits_2_quoting_it(capsys, tmp_path, spec, reason):
-    # Each of these would loop, overflow or try to build a huge list if the
-    # checks ran after the range is built.
+    # Every error leads with the flag.  The non-finite and over-large ranges
+    # would loop, overflow or try to build a huge list if the checks ran after
+    # the range is built.
     rc, out, err = run_cli(capsys, "curve", "--lambdas", "0.5", f"--rhos={spec}",
                            "--out", str(tmp_path / "x.csv"))
     assert (rc, out) == (EXIT_INPUT, "")
-    assert err == f"error: grid spec {spec!r} {reason}\n"
+    assert err == f"error: --rhos {spec!r} {reason}\n"
     assert not (tmp_path / "x.csv").exists()
 
 @pytest.mark.parametrize("flag, spec, bad", [("--lambdas", "x", "x"),
@@ -234,13 +239,13 @@ def test_curve_empty_grid_exits_2_naming_the_flag(capsys, tmp_path, flag, spec, 
 
 def test_grid_point_cap_is_exact(monkeypatch):
     assert cli.GRID_MAX_POINTS == 100_000
-    assert len(cli._grid("0:9999.9:0.1")) == 100_000
+    assert len(cli._grid("0:9999.9:0.1", "--rhos")) == 100_000
     monkeypatch.setattr(cli, "GRID_MAX_POINTS", 11)
-    assert cli._grid("0:1:0.1") == [round(0.1 * i, 12) for i in range(11)]
+    assert cli._grid("0:1:0.1", "--rhos") == [round(0.1 * i, 12) for i in range(11)]
     with pytest.raises(ValueError, match="has more than 11 points"):
-        cli._grid("0:1.1:0.1")
+        cli._grid("0:1.1:0.1", "--rhos")
     with pytest.raises(ValueError, match="has more than 11 points"):
-        cli._grid("0:1.05:0.1")     # rounds to 12 points
+        cli._grid("0:1.05:0.1", "--rhos")     # rounds to 12 points
 
 def test_curve_grid_total_is_capped_before_evaluation(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "GRID_MAX_POINTS", 11)
@@ -773,6 +778,37 @@ def test_verify_all_refuses_an_over_budget_size_before_any_section(capsys, monke
     assert (rc, out, err) == (EXIT_INPUT, "", f"error: {message}\n")
     assert not report.exists()
 
+def test_verify_all_one_replication_exits_2_before_any_section(capsys, monkeypatch, tmp_path):
+    def trap():
+        raise AssertionError("a section ran before the lemmas section refused the size")
+    for name in ("run_integrals_section", "run_m_bound_section", "run_mvt_section"):
+        monkeypatch.setattr(verify, name, trap)
+    report = tmp_path / "audit.json"
+    rc, out, err = run_cli(capsys, "verify", "--section", "all", "--reps", "1",
+                           "--out", str(report))
+    assert (rc, out) == (EXIT_INPUT, "")
+    assert err == ("error: a Monte Carlo standard error needs at least 2 "
+                   "replications, got 1\n")
+    assert not report.exists()
+
+def test_verify_all_runs_lemmas_first_and_prints_in_canonical_order(capsys, monkeypatch):
+    ran = []
+    def recorded(name, runner):
+        def run(*args, **kwargs):
+            ran.append(name)
+            return runner(*args, **kwargs)
+        return run
+    for name in ("integrals", "m_bound", "mvt", "lemmas"):
+        runner = f"run_{name}_section"
+        monkeypatch.setattr(verify, runner, recorded(name, getattr(verify, runner)))
+    rc, out, _ = run_cli(capsys, "verify", "--section", "all", "--reps", "200")
+    assert rc == EXIT_OK
+    assert ran == ["lemmas", "integrals", "m_bound", "mvt"]
+    shown = [line.split(":", 1)[0] for line in out.splitlines()]
+    assert shown == ["section integrals", "section m_bound", "section mvt_identity",
+                     *["section lemma_expect_rejections"] * 3,
+                     *["section lemma_expect_loo"] * 4]
+
 # A size within the budget can still be more than the machine holds: that is
 # exit 2 with one line, as for any other size, never a traceback.
 
@@ -946,6 +982,17 @@ def test_benchmark_layer_timings_call_the_package_as_it_is():
             called.add(name)
     assert {"simulator.run_mc", "verify.run_lemmas_section", "procedures.gbh1",
             "procedures.GroupedPValues.from_labels", "simulator.SimConfig"} <= called
+
+def test_cli_imports_no_private_name_from_the_package():
+    # The CLI reaches the package through public names only; perfbench's
+    # tracer swaps cli.verify_mod for a namespace of the four section runners,
+    # so a private name taken from verify would slip past it.
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    private = [f"{node.module}.{alias.name}" for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               and (node.level > 0 or (node.module or "").startswith("gbh_fdr"))
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
 
 def test_package_modules_use_every_name_they_import():
     # The unused-import check.  A name in a module's __all__ counts as used,

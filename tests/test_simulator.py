@@ -35,10 +35,12 @@ from gbh_fdr import (
 )
 from gbh_fdr.procedures import RejectionResult
 from gbh_fdr.simulator import (
+    CONFIG_FLAGS,
     LOG_HEADER,
     PROCEDURES,
     append_log,
     config_with_updates,
+    flag_updates,
     load_config_file,
     log_csv_line,
     summary_json_dict,
@@ -454,9 +456,9 @@ _VALUES = {    # the first choice of each key fits the defaults' four groups of 
 }
 _VALID_LINE = st.sampled_from(sorted(_VALUES)).flatmap(
     lambda key: _VALUES[key].map(lambda v: (f"{key} = {v}", False)))
+_BAD_NUMBERS = st.sampled_from(("fast", "1.5.2", "0x1g", "--3", "1e", "one,two"))
 _BAD_NUMBER_LINE = st.tuples(
-    st.sampled_from(sorted(set(_VALUES) - {"procedure"})),
-    st.sampled_from(("fast", "1.5.2", "0x1g", "--3", "1e", "one,two")),
+    st.sampled_from(sorted(set(_VALUES) - {"procedure"})), _BAD_NUMBERS,
 ).map(lambda kv: (f"{kv[0]}={kv[1]}", True))
 _UNKNOWN_KEY_LINE = st.one_of(
     st.sampled_from(("M", "lam", "threads", "group-sizes", "")),
@@ -503,6 +505,41 @@ def test_config_grammar_fuzz_raises_only_config_errors(good, bad, eol, stray):
         assert named == byte_line
     else:
         assert named == bad_lines[0] and (byte_line is None or bad_lines[0] < byte_line)
+
+# The simulate flags, fuzzed at the library level as cmd_simulate takes them:
+# raw strings through flag_updates, then config_with_updates.  Each value is
+# drawn with its verdict: True when flag_updates must reject it.
+_FLAG_OF = {key: "--" + key.replace("_", "-") for key in _VALUES}
+_FIELD_OF = {key: dict(CONFIG_FLAGS)[flag] for key, flag in _FLAG_OF.items()}
+_FLAG_VALUES = st.fixed_dictionaries({}, optional={
+    key: st.tuples(
+        st.one_of(values.map(lambda v: (v, False)),
+                  st.nothing() if key == "procedure" else _BAD_NUMBERS.map(lambda v: (v, True))),
+        st.sampled_from(("", " ", "\t")))
+    for key, values in _VALUES.items()})
+
+def test_flag_fuzz_covers_every_simulate_flag():
+    assert sorted(_FLAG_OF.values()) == sorted(flag for flag, _ in CONFIG_FLAGS)
+
+@settings(max_examples=200, deadline=None)
+@given(flags=_FLAG_VALUES)
+def test_simulate_flag_fuzz_raises_only_config_errors(flags):
+    raw = {field: None for _, field in CONFIG_FLAGS}
+    raw.update({_FIELD_OF[key]: pad + value + pad for key, ((value, _), pad) in flags.items()})
+    # flag_updates parses in CONFIG_FLAGS order, so the first bad flag is named.
+    order = [flag for flag, _ in CONFIG_FLAGS]
+    bad = sorted((key for key, ((_, is_bad), _) in flags.items() if is_bad),
+                 key=lambda key: order.index(_FLAG_OF[key]))
+    if not bad:
+        try:
+            config_with_updates(SimConfig(), flag_updates(raw))
+        except ConfigError:
+            pass
+        return
+    with pytest.raises(ConfigError) as exc:
+        flag_updates(raw)
+    shown = raw[_FIELD_OF[bad[0]]]
+    assert str(exc.value).startswith(f"{_FLAG_OF[bad[0]]}: bad value {shown!r}: ")
 
 def test_per_group_effect_mu_from_file(tmp_path):
     path = tmp_path / "mu.cfg"
