@@ -4,7 +4,8 @@ The grouped adaptive procedure estimates, per group, how many hypotheses look
 null (via the count of p-values above a tuning level lambda), turns that into
 a data-driven weight per group, and runs the usual step-up rule on the
 weighted p-values.  With a single group it collapses to the classic adaptive
-procedure with null-proportion estimate (m - R + 1)/(m*(1 - lambda)).
+procedure with null-proportion estimate (m - R + 1)/(m*(1 - lambda)) whenever
+R >= 1; at R = 0 the grouped procedure rejects nothing (see below).
 
 A group in which no p-value lies at or below lambda gets weight +inf: its
 members can never be rejected.  Weighted p-values are deliberately not

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gbh_fdr import (
@@ -402,10 +402,18 @@ def test_lambda_validation():
 
 @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=25),
        st.floats(0.05, 0.95))
+@example(pvals=[0.0625, 0.0625], lam=0.0546875)
 @settings(max_examples=200, deadline=None)
 def test_gbh1_single_group_equals_storey_property(pvals, lam):
+    # One group reduces gbh1 to storey whenever some p-value is <= lambda.
+    # With none, gbh1 gives the group weight +inf and rejects nothing, while
+    # storey keeps the finite estimate (m + 1)/(m(1 - lambda)) and may reject:
+    # at p = (0.0625, 0.0625), lambda = 0.0546875 it rejects both at 0.1.
     p = np.array(pvals)
     gp = GroupedPValues(p, (np.arange(p.size),))
     a = gbh1(gp, lam, 0.1)
     b = storey(p, lam, 0.1)
-    assert a.rejected == b.rejected
+    if (p <= lam).any():
+        assert a.rejected == b.rejected
+    else:
+        assert a.rejected == ()
