@@ -2,18 +2,19 @@
 
 Every other module routes its distributional arithmetic through here, so this
 is the one accuracy-audited path in the package.  The CDF goes through the
-complementary error function: scipy.special.erfc on arrays, and on scalars a
-pure-Python port of the same Cephes kernel that returns identical bits, so
-that scalar callers (the bound, the CLI) never load scipy.  The quantile is
-Acklam's piecewise rational approximation polished by a single Newton step on
-the CDF, which drives the round-trip error |cdf(quantile(p)) - p| to machine
-precision for p in [1e-12, 1 - 1e-12].  Endpoints map to the +-inf sentinels and those
-propagate through ordinary float arithmetic; nothing here clips.
+complementary error function, a port of the Cephes kernel that
+scipy.special.erfc compiles: a pure-Python one for scalars and a numpy one for
+arrays, each returning scipy's bits, so that nothing here loads scipy.  The
+quantile is Acklam's piecewise rational approximation polished by a single
+Newton step on the CDF, which drives the round-trip error
+|cdf(quantile(p)) - p| to machine precision for p in [1e-12, 1 - 1e-12].
+Endpoints map to the +-inf sentinels and those propagate through ordinary
+float arithmetic; nothing here clips.
 
 The array paths work in place: each result is built in one new buffer (the
-quantile in a few) by the same IEEE operations, in the same order, as the
-plain expressions they spell out, so they hold the same bits and never write
-into the caller's array.
+quantile and erfc in a few) by the same IEEE operations, in the same order,
+as the plain expressions they spell out, so they hold the same bits and never
+write into the caller's array.
 
 All functions accept scalars or numpy arrays and return matching shapes.
 """
@@ -37,8 +38,8 @@ def _scalar_in(x) -> bool:
 # 1 <= |x| < 8, exp(-x^2) R(x)/S(x) for |x| >= 8, and 1 - erf(x) with
 # erf(x) = x T(x^2)/U(x^2) for |x| < 1.  scipy.special.erfc compiles the same
 # code; the coefficients, the Horner order and the libm exp below reproduce it
-# bit for bit.  np.exp must not stand in for math.exp: it can differ in the
-# last bit.
+# bit for bit.  Plain np.exp must not stand in for math.exp: it can differ in
+# the last bit (see _libm_exp).
 _ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1,
            7.46321056442269912687e0, 4.86371970985681366614e1,
            1.96520832956077098242e2, 5.26445194995477358631e2,
@@ -92,6 +93,80 @@ def _erfc_scalar(a: float) -> float:
     return 2.0 - y if a < 0.0 else y
 
 
+def _polevl(x, coefs, out=None):
+    # ((c0*x + c1)*x + ...)*x + cn, as Cephes polevl, in out or a new buffer.
+    acc = np.multiply(coefs[0], x, out=out)
+    for c in coefs[1:-1]:
+        acc += c
+        acc *= x
+    acc += coefs[-1]
+    return acc
+
+
+def _p1evl(x, coefs, out=None):
+    # ((x + c0)*x + c1)*x + ... + cn, as Cephes p1evl, in out or a new buffer.
+    acc = np.add(x, coefs[0], out=out)
+    for c in coefs[1:]:
+        acc *= x
+        acc += c
+    return acc
+
+
+def _libm_exp(v: np.ndarray) -> np.ndarray:
+    """exp of each element with libm's bits, as math.exp gives them.  np.exp
+    on floats may take a SIMD kernel that differs in the last bit; on complex
+    numbers it calls libm's exp on the real part and multiplies by cos(0) = 1,
+    which is exact."""
+    w = v.astype(np.complex128)
+    return np.exp(w, out=w).real
+
+
+def _erfc_outer(a: np.ndarray) -> np.ndarray:
+    """_erfc_scalar's |a| >= 1 and NaN branches on a gathered 1-d array."""
+    # x*x exceeds MAXLOG from |a| ~ 26.64 on: the clamp at 27 keeps those
+    # entries past the cut and every polynomial finite, and maps NaN to 27.
+    x = np.abs(a)
+    np.fmin(x, 27.0, out=x)
+    num = _polevl(x, _ERFC_P)
+    den = _p1evl(x, _ERFC_Q)
+    far = np.flatnonzero(x >= 8.0)
+    if far.size:
+        xf = x[far]
+        num[far] = _polevl(xf, _ERFC_R)
+        den[far] = _p1evl(xf, _ERFC_S)
+    # -a*a is exactly -(x*x); past the cut the result is 0, or 2 for a < 0.
+    sq = np.multiply(x, x, out=x)
+    y = _libm_exp(np.negative(sq))
+    y[sq > _MAXLOG] = 0.0
+    y *= num
+    y /= den
+    np.subtract(2.0, y, out=y, where=a < 0.0)
+    y[np.isnan(a)] = np.nan
+    return y
+
+
+def _erfc_array(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """erfc of each element of the float array a, written into out (which may
+    be a itself) and returned.  Each element gets _erfc_scalar's operations in
+    its order, so its bits, which are scipy.special.erfc's."""
+    # |a| < 1: 1 - erf(a) with erf(a) = a T(z)/U(z) and z = a*a, which for
+    # a < 0 is exactly the port's 1 + x T/U, x = |a|.  The clip keeps the
+    # other entries finite.
+    c = np.clip(a, -1.0, 1.0, out=np.empty(a.shape))
+    z = c * c
+    # z < 1 exactly where |a| < 1.  The other entries and NaN take the outer
+    # branches; they are gathered first, because out may be a.  Then out
+    # holds erf, and c's buffer, once used, holds U.
+    outer = np.flatnonzero(~(z < 1.0))
+    rest = _erfc_outer(np.take(a, outer))
+    erf = _polevl(z, _ERF_T, out)
+    erf *= c
+    erf /= _p1evl(z, _ERF_U, c)
+    np.subtract(1.0, erf, out=out)
+    np.put(out, outer, rest)
+    return out
+
+
 def phi(x):
     """Standard normal density exp(-x^2/2)/sqrt(2*pi)."""
     arr = np.asarray(x, dtype=float)
@@ -100,19 +175,17 @@ def phi(x):
 
 
 def _half_erfc(x, scale: float, name: str):
-    """0.5*erfc(scale*x), rejecting NaN.  A scalar takes the port and returns
-    a float; an array loads scipy on first use."""
+    """0.5*erfc(scale*x), rejecting NaN; a float for a scalar, else an array."""
     if _scalar_in(x):
         v = float(x)
         if v != v:
             raise ValueError(f"{name}: NaN is not a valid argument")
         return 0.5 * _erfc_scalar(v * scale)
-    from scipy.special import erfc
     arr = np.asarray(x, dtype=float)
     if np.isnan(arr).any():
         raise ValueError(f"{name}: NaN is not a valid argument")
     out = arr * scale
-    erfc(out, out=out)
+    _erfc_array(out, out)
     out *= 0.5
     return out
 
@@ -199,9 +272,10 @@ def norm_quantile(p):
     """
     if _scalar_in(p):
         return _quantile_scalar(float(p))
-    from scipy.special import erfc
     arr = np.asarray(p, dtype=float)
-    if np.isnan(arr).any() or (arr < 0.0).any() or (arr > 1.0).any():
+    # argmin and argmax land on the first NaN if there is one, and NaN fails
+    # both comparisons; an empty array has nothing to check.
+    if arr.size and not (arr.flat[arr.argmin()] >= 0.0 and arr.flat[arr.argmax()] <= 1.0):
         raise ValueError("norm_quantile: p must lie in [0, 1]")
 
     # Invert on the lower half only: for p >= 1/2 the complement 1-p is exact
@@ -230,7 +304,7 @@ def norm_quantile(p):
     np.exp(dens, out=dens)
     dens *= _INV_SQRT_2PI
     step = out * -_INV_SQRT_2
-    erfc(step, out=step)
+    _erfc_array(step, step)
     step *= 0.5
     step -= pm
     live = dens > 0.0

@@ -889,6 +889,7 @@ runs = [
     ["adjust", "--input", tmp + "/p.csv"],
     ["simulate", "--m", "20", "--group-sizes", "10,10", "--nonnull-counts", "0,0",
      "--rho", "0.1", "--replications", "20"],
+    ["verify", "--section", "integrals"],
 ]
 for argv in runs:
     with contextlib.redirect_stdout(io.StringIO()):
@@ -910,8 +911,9 @@ def test_scalar_subcommands_never_import_scipy(tmp_path):
         "bound 0 no scipy False",
         "curve 0 no scipy False",
         "adjust 0 no scipy False",
-        # the array paths do load it, so the checks above are not vacuous
-        "simulate 0 scipy True",
+        "simulate 0 no scipy False",
+        # the audit's quadrature does load it, so the checks above are not vacuous
+        "verify 0 scipy True",
     ]
 
 

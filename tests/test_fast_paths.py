@@ -22,7 +22,8 @@ from gbh_fdr import (GBHWeights, GroupedPValues, RejectionResult, bh_step_up,
                      gbh1, gbh1_weights, gbh1_weights_loo, norm_cdf, norm_quantile,
                      norm_sf, procedures, simulator, storey)
 from gbh_fdr.normal import (_ACKLAM_SPLIT, _INV_SQRT_2, _INV_SQRT_2PI, _MAXLOG,
-                            _acklam_central, _acklam_tail, _erfc_scalar)
+                            _acklam_central, _acklam_tail, _erfc_array, _erfc_scalar,
+                            _libm_exp)
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +202,19 @@ def test_scalar_quantile_rejects_like_array_path(bad):
     assert str(scalar_err.value) == str(array_err.value)
 
 
+@pytest.mark.parametrize("bad", [math.nan, -math.nan, -0.1, 1.1, -math.inf, math.inf, -5e-324,
+                                 np.nextafter(1.0, 2.0)])
+def test_array_quantile_rejects_a_bad_value_anywhere_in_a_block(bad):
+    # One argmin/argmax pair checks the range; each cell of a 2-d block, in
+    # either memory order, must still be seen.
+    for order in ("C", "F"):
+        for cell in ((0, 0), (1, 2), (2, 3)):
+            block = np.full((3, 4), 0.5, order=order)
+            block[cell] = bad
+            with pytest.raises(ValueError, match=r"^norm_quantile: p must lie in \[0, 1\]$"):
+                norm_quantile(block)
+
+
 # ---------------------------------------------------------------------------
 # the scalar erfc port against scipy.special.erfc, and the scalar cdf and sf
 
@@ -228,19 +242,110 @@ def assert_erfc_bits(xs) -> None:
     assert [x for x, g, w in zip(xs.tolist(), got, want) if g != w] == []
 
 
+def _erfc_random_sets():
+    rng = np.random.default_rng(11)
+    return np.concatenate([rng.uniform(-30.0, 30.0, 40000),
+                           rng.standard_normal(20000) * 5.0,
+                           rng.uniform(-1.5, 1.5, 20000),
+                           rng.uniform(-8.5, 8.5, 20000)])
+
+
 def test_erfc_port_is_bitwise_scipy_on_edges():
     assert_erfc_bits(ERFC_EDGES)
-    rng = np.random.default_rng(11)
-    assert_erfc_bits(np.concatenate([rng.uniform(-30.0, 30.0, 40000),
-                                     rng.standard_normal(20000) * 5.0,
-                                     rng.uniform(-1.5, 1.5, 20000),
-                                     rng.uniform(-8.5, 8.5, 20000)]))
+    assert_erfc_bits(_erfc_random_sets())
 
 
 @settings(max_examples=3000, deadline=None)
 @given(st.floats(allow_nan=False, allow_infinity=False))
 def test_erfc_port_is_bitwise_scipy(x):
     assert_erfc_bits([x])
+
+
+# ---------------------------------------------------------------------------
+# the array erfc kernel against scipy.special.erfc
+
+def assert_erfc_array_bits(xs) -> None:
+    xs = np.asarray(xs, dtype=float)
+    got = _erfc_array(xs, np.empty_like(xs)).view(np.int64)
+    want = erfc(xs).view(np.int64)
+    assert [x for x, g, w in zip(xs.tolist(), got, want) if g != w] == []
+
+
+def test_erfc_array_is_bitwise_scipy_on_edges():
+    assert_erfc_array_bits(ERFC_EDGES)
+    assert_erfc_array_bits(_erfc_random_sets())
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.one_of(st.floats(), st.floats(min_value=-30.0, max_value=30.0),
+                          st.sampled_from(ERFC_EDGES.tolist())), max_size=60))
+def test_erfc_array_is_bitwise_scipy(xs):
+    assert_erfc_array_bits(xs)
+
+
+# The edges and a few ordinary values as a 6 x 8 grid.
+ERFC_GRID = np.concatenate([ERFC_EDGES, np.linspace(-9.0, 9.0, 7)]).reshape(6, 8)
+
+
+@pytest.mark.parametrize("layout", ["C", "Fortran", "strided", "strided out", "read-only",
+                                    "aliased", "aliased strided", "empty"])
+def test_erfc_array_handles_every_layout(layout):
+    grid = ERFC_GRID.copy()
+    base = np.repeat(grid, 2, axis=1)  # the strided cases use its even columns
+    if layout == "read-only":
+        grid.flags.writeable = False
+    arg, out = {
+        "C": (grid, np.empty_like(grid)),
+        "Fortran": (np.asfortranarray(grid), np.empty(grid.shape, order="F")),
+        "strided": (base[:, ::2], np.empty_like(grid)),
+        "strided out": (grid, base[:, ::2]),
+        "read-only": (grid, np.empty_like(grid)),
+        "aliased": (grid, grid),
+        "aliased strided": (base[:, ::2],) * 2,
+        "empty": (np.empty((3, 0)), np.empty((3, 0))),
+    }[layout]
+    want = erfc(arg).tobytes()
+    arg_before, base_before = arg.tobytes(), base.copy()
+    got = _erfc_array(arg, out)
+    assert got is out and got.shape == arg.shape
+    assert got.tobytes() == want
+    if out is not arg:
+        assert arg.tobytes() == arg_before
+    # Only out's own elements are written: the odd columns of base stay.
+    assert base[:, 1::2].tobytes() == base_before[:, 1::2].tobytes()
+
+
+def test_erfc_array_takes_0d_arrays():
+    for v in ERFC_GRID.ravel().tolist():
+        arg = np.array(v)
+        got = _erfc_array(arg, np.empty(()))
+        assert got.shape == () and got.tobytes() == erfc(arg).tobytes()
+        assert _erfc_array(arg, arg) is arg and arg.tobytes() == erfc(v).tobytes()
+
+
+def test_libm_exp_route_is_math_exp():
+    # The outer branches take exp through numpy's complex exp to get libm's
+    # bits; this holds that route to math.exp down to the subnormal results.
+    grid = np.concatenate([np.linspace(0.0, -746.0, 746001),
+                           -np.random.default_rng(2).uniform(0.0, 746.0, 200000),
+                           [-0.0, -5e-324, -708.3964185322641, -745.1332191019411,
+                            -745.1332191019412, -746.0]])
+    got = _libm_exp(grid).view(np.int64)
+    want = np.array([math.exp(v) for v in grid.tolist()]).view(np.int64)
+    assert [v for v, g, w in zip(grid.tolist(), got, want) if g != w] == []
+
+
+def test_erfc_array_does_not_warn_at_the_extremes():
+    xs = np.array([np.inf, -np.inf, 1e308, -1e308, 1.7976931348623157e308,
+                   5e-324, -5e-324, 1e-310, -1e-310, 2.2250738585072014e-308, 27.0, -27.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _erfc_array(xs, np.empty_like(xs))
+        cdf = norm_cdf(xs)
+        sf = norm_sf(xs)
+    assert got.tobytes() == erfc(xs).tobytes()
+    assert cdf.tobytes() == (0.5 * erfc(xs * -_INV_SQRT_2)).tobytes()
+    assert sf.tobytes() == (0.5 * erfc(xs * _INV_SQRT_2)).tobytes()
 
 
 @settings(max_examples=400, deadline=None)

@@ -157,7 +157,7 @@ def test_block_draw_holds_little_beyond_its_output():
     cfg = SimConfig(m=20, group_sizes=(10, 10), nonnull_counts=(0, 0), rho=0.2,
                     replications=20000, seed=20260822)
     _conditional_pvalue_matrix(SimConfig(m=20, group_sizes=(10, 10), nonnull_counts=(0, 0),
-                                         replications=2), 2.0, tag=1)  # loads scipy.special
+                                         replications=2), 2.0, tag=1)  # one-time allocations
     tracemalloc.start()
     try:
         out = _conditional_pvalue_matrix(cfg, 2.0, tag=1)
