@@ -338,8 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run numerical audits")
     v.add_argument("--section", choices=(*_SECTION_RUNNERS, "all"), required=True)
-    v.add_argument("--seed", type=int, default=20260822)
-    v.add_argument("--reps", type=int, default=20000,
+    v.add_argument("--seed", type=int, default=SimConfig.seed)
+    v.add_argument("--reps", type=int, default=SimConfig.replications,
                    help="Monte Carlo replications for the lemmas section")
     v.add_argument("--out", default=None, help="write the JSON reports here")
     v.set_defaults(fn=cmd_verify)

@@ -11,10 +11,11 @@ Newton step on the CDF, which drives the round-trip error
 Endpoints map to the +-inf sentinels and those propagate through ordinary
 float arithmetic; nothing here clips.
 
-The array paths work in place: each result is built in one new buffer (the
-quantile and erfc in a few) by the same IEEE operations, in the same order,
-as the plain expressions they spell out, so they hold the same bits and never
-write into the caller's array.
+One Horner pair, _polevl and _p1evl, evaluates every polynomial but the
+scalar erfc's: on a float it stays a float, on an array it works in place.
+The array paths build each result in one new buffer (the quantile and erfc in
+a few) by the same IEEE operations, in the same order, as the scalar ones, so
+they hold the same bits and never write into the caller's array.
 
 All functions accept scalars or numpy arrays and return matching shapes.
 """
@@ -94,8 +95,9 @@ def _erfc_scalar(a: float) -> float:
 
 
 def _polevl(x, coefs, out=None):
-    # ((c0*x + c1)*x + ...)*x + cn, as Cephes polevl, in out or a new buffer.
-    acc = np.multiply(coefs[0], x, out=out)
+    # ((c0*x + c1)*x + ...)*x + cn, as Cephes polevl, in out or, without one,
+    # in a new buffer; a float stays a float.
+    acc = coefs[0] * x if out is None else np.multiply(coefs[0], x, out=out)
     for c in coefs[1:-1]:
         acc += c
         acc *= x
@@ -104,8 +106,8 @@ def _polevl(x, coefs, out=None):
 
 
 def _p1evl(x, coefs, out=None):
-    # ((x + c0)*x + c1)*x + ... + cn, as Cephes p1evl, in out or a new buffer.
-    acc = np.add(x, coefs[0], out=out)
+    # ((x + c0)*x + c1)*x + ... + cn, as Cephes p1evl, likewise.
+    acc = x + coefs[0] if out is None else np.add(x, coefs[0], out=out)
     for c in coefs[1:]:
         acc *= x
         acc += c
@@ -208,60 +210,37 @@ def norm_sf(x):
 
 
 # Acklam's rational approximation to the normal quantile: three pieces with
-# relative error < 1.15e-9 before refinement.
+# relative error < 1.15e-9 before refinement.  B and D end in their constant 1.
 _ACKLAM_A = (-3.969683028665376e+01, 2.209460984245205e+02,
              -2.759285104469687e+02, 1.383577518672690e+02,
              -3.066479806614716e+01, 2.506628277459239e+00)
 _ACKLAM_B = (-5.447609879822406e+01, 1.615858368580409e+02,
              -1.556989798598866e+02, 6.680131188771972e+01,
-             -1.328068155288572e+01)
+             -1.328068155288572e+01, 1.0)
 _ACKLAM_C = (-7.784894002430293e-03, -3.223964580411365e-01,
              -2.400758277161838e+00, -2.549732539343734e+00,
              4.374664141464968e+00, 2.938163982698783e+00)
 _ACKLAM_D = (7.784695709041462e-03, 3.224671290700398e-01,
-             2.445134137142996e+00, 3.754408661907416e+00)
+             2.445134137142996e+00, 3.754408661907416e+00, 1.0)
 _ACKLAM_SPLIT = 0.02425
 
 
 def _acklam_central(p):
-    # num*q/den with num = ((((a0*r + a1)*r + a2)*r + a3)*r + a4)*r + a5 and den
-    # the same in b, ending in *r + 1.0: Horner in place, one buffer each.  On a
-    # float, += and *= rebind instead.
-    a, b = _ACKLAM_A, _ACKLAM_B
+    # q*A(r)/B(r) with r = q*q.
     q = p - 0.5
     r = q * q
-    num = a[0] * r
-    num += a[1]
-    num *= r
-    num += a[2]
-    num *= r
-    num += a[3]
-    num *= r
-    num += a[4]
-    num *= r
-    num += a[5]
-    den = b[0] * r
-    den += b[1]
-    den *= r
-    den += b[2]
-    den *= r
-    den += b[3]
-    den *= r
-    den += b[4]
-    den *= r
-    den += 1.0
+    num = _polevl(r, _ACKLAM_A)
     num *= q
-    num /= den
+    num /= _polevl(r, _ACKLAM_B)
     return num
 
 
 def _acklam_tail(p):
-    # Lower tail; callers mirror for the upper one.
-    c, d = _ACKLAM_C, _ACKLAM_D
+    # C(q)/D(q) with q = sqrt(-2 log p), the lower tail; callers mirror it.
     q = np.sqrt(-2.0 * np.log(p))
-    num = ((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]
-    den = ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q) + 1.0
-    return num / den
+    num = _polevl(q, _ACKLAM_C)
+    num /= _polevl(q, _ACKLAM_D)
+    return num
 
 
 def norm_quantile(p):
@@ -319,7 +298,7 @@ def _quantile_scalar(p: float) -> float:
     """norm_quantile for one float: the array path's arithmetic, element for
     element, without the masks.  exp, log and sqrt go through numpy and
     erfc through its bit-identical port, so that every bit matches the array
-    path."""
+    path; the rest is the same IEEE operations on Python floats."""
     if not (0.0 <= p <= 1.0):
         raise ValueError("norm_quantile: p must lie in [0, 1]")
     mirror = p > 0.5
@@ -327,11 +306,11 @@ def _quantile_scalar(p: float) -> float:
     if pm == 0.0:
         x = -math.inf
     else:
-        x = _acklam_tail(pm) if pm < _ACKLAM_SPLIT else _acklam_central(pm)
-        dens = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
+        x = float(_acklam_tail(pm)) if pm < _ACKLAM_SPLIT else _acklam_central(pm)
+        dens = _INV_SQRT_2PI * float(np.exp(-0.5 * x * x))
         if dens > 0.0:
-            x = x - (0.5 * _erfc_scalar(float(-x * _INV_SQRT_2)) - pm) / dens
-    return float(-x if mirror else x)
+            x -= (0.5 * _erfc_scalar(-x * _INV_SQRT_2) - pm) / dens
+    return -x if mirror else x
 
 
 def tail_lower_bound(x):
@@ -342,5 +321,5 @@ def tail_lower_bound(x):
     arr = np.asarray(x, dtype=float)
     if np.isnan(arr).any() or (arr < 0.0).any():
         raise ValueError("tail_lower_bound: x must be >= 0")
-    out = 2.0 * (_INV_SQRT_2PI * np.exp(-0.5 * arr * arr)) / (np.sqrt(4.0 + arr * arr) + arr)
+    out = 2.0 * phi(arr) / (np.sqrt(4.0 + arr * arr) + arr)
     return float(out) if _scalar_in(x) else out

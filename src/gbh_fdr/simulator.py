@@ -244,9 +244,17 @@ def generate_sample(config: SimConfig, rep_index: int) -> tuple:
     return _sample_block(config, rep_index, rep_index + 1)[0], config.null_mask()
 
 
+def _finite_x0(x0) -> float:
+    """x0 as a float; ValueError, before anything is drawn, when it is not finite."""
+    x0 = float(x0)
+    if not math.isfinite(x0):
+        raise ValueError(f"x0={x0} must be finite")
+    return x0
+
+
 def generate_sample_conditional(config: SimConfig, rep_index: int, x0: float) -> tuple:
     """Same model with the shared factor pinned at x0 (m draws, no X0 draw)."""
-    return _sample_block(config, rep_index, rep_index + 1, float(x0))[0], config.null_mask()
+    return _sample_block(config, rep_index, rep_index + 1, _finite_x0(x0))[0], config.null_mask()
 
 
 def pvalues_from_sample(y) -> np.ndarray:
@@ -326,7 +334,7 @@ def run_mc(config: SimConfig, threads: int = 1) -> SimSummary:
 def run_mc_conditional(config: SimConfig, x0: float) -> SimSummary:
     """Run the campaign with the shared factor pinned at x0.  The attached
     bound_value is None: the closed form speaks to the marginal model."""
-    return _mc_loop(config, float(x0))
+    return _mc_loop(config, _finite_x0(x0))
 
 
 # --- flat key=value config files ------------------------------------------

@@ -30,7 +30,7 @@ from .bound import (DomainError, ab_from_rho, exact_p_conditional,
 # phi is unused here but stays: perfbench/tracing.py patches verify.phi.
 from .normal import SQRT_2PI, norm_cdf, norm_quantile, phi
 from .procedures import GroupedPValues, gbh1
-from .simulator import (_MAX_ARRAY_ELEMENTS, SimConfig, _mix, mean_and_se,
+from .simulator import (_MAX_ARRAY_ELEMENTS, SimConfig, _finite_x0, _mix, mean_and_se,
                         pvalues_from_sample, stream_uniforms)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -172,7 +172,7 @@ def _truncation_point(f, sign: float) -> float:
     capped at 40 (whichever comes first).  The cut is taken past the FAR edge
     of the support: odd integrands vanish at b = 0 too."""
     probe = np.linspace(0.0, 40.0, 2001) * sign
-    vals = np.abs(np.asarray([f(b) for b in probe], dtype=float))
+    vals = np.abs(f(probe))
     above = np.nonzero(vals >= 1e-16 * vals.max())[0]
     last = int(above[-1])
     return float(abs(probe[min(last + 1, probe.size - 1)]))
@@ -203,8 +203,9 @@ def _conditional_pvalue_matrix(config: SimConfig, x0: float, tag: int) -> np.nda
     """(replications, m) conditional null-model p-values from one dedicated
     substream keyed (seed, tag); deterministic given the config.  The stream
     is drawn and transformed a block of rows at a time into the one output
-    array.  Raises ValueError, before drawing, when the matrix exceeds the
-    element budget."""
+    array.  Raises ValueError, before drawing, when x0 is not finite or the
+    matrix exceeds the element budget."""
+    x0 = _finite_x0(x0)
     if config.replications * config.m > _MAX_ARRAY_ELEMENTS:
         raise ValueError(f"replications x m = {config.replications} x {config.m} exceeds "
                          f"{_MAX_ARRAY_ELEMENTS} array elements")
@@ -386,7 +387,8 @@ def run_mvt_section() -> SectionResult:
     return SectionResult(reports=[report], failures=failures)
 
 
-def run_lemmas_section(seed: int = 20260822, replications: int = 20000) -> SectionResult:
+def run_lemmas_section(seed: int = SimConfig.seed,
+                       replications: int = SimConfig.replications) -> SectionResult:
     """Monte Carlo scans of the two conditional-expectation results on small
     desk configs; all comparisons are reported with standard errors."""
     base = SimConfig(m=20, group_sizes=(10, 10), nonnull_counts=(0, 0),

@@ -855,6 +855,13 @@ def test_choices_come_from_their_tables(capsys, argv, choices):
     listed = err.rsplit("choose from", 1)[1]
     assert re.findall(r"\w+", listed) == list(choices)
 
+def test_verify_defaults_are_the_simulation_defaults():
+    args = cli.build_parser().parse_args(["verify", "--section", "lemmas"])
+    params = inspect.signature(verify.run_lemmas_section).parameters
+    assert args.seed == params["seed"].default == simulator.SimConfig.seed == 20260822
+    assert (args.reps == params["replications"].default == simulator.SimConfig.replications
+            == 20000)
+
 # sha256 of the bytes `verify --section all --reps 400 --seed 7 --out` writes:
 # a change to an audit kernel that moves one bit of any report changes it
 VERIFY_ALL_400_SHA256 = "19ba2c5810b7e356f91c53f050a252d164f1ee6b986f98a664914541de7db4f9"

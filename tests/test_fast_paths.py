@@ -23,11 +23,68 @@ from gbh_fdr import (GBHWeights, GroupedPValues, RejectionResult, bh_step_up,
                      norm_sf, procedures, simulator, storey)
 from gbh_fdr.normal import (_ACKLAM_SPLIT, _INV_SQRT_2, _INV_SQRT_2PI, _MAXLOG,
                             _acklam_central, _acklam_tail, _erfc_array, _erfc_scalar,
-                            _libm_exp)
+                            _libm_exp, _p1evl, _polevl)
 
 
 # ---------------------------------------------------------------------------
-# oracles: the masked array quantile and the per-group procedures
+# oracles: Acklam's polynomials written out, the masked array quantile and
+# the per-group procedures
+
+# Acklam's coefficients, frozen here so that the oracle shares nothing with
+# the module's Horner evaluator.
+ORACLE_A = (-3.969683028665376e+01, 2.209460984245205e+02,
+            -2.759285104469687e+02, 1.383577518672690e+02,
+            -3.066479806614716e+01, 2.506628277459239e+00)
+ORACLE_B = (-5.447609879822406e+01, 1.615858368580409e+02,
+            -1.556989798598866e+02, 6.680131188771972e+01,
+            -1.328068155288572e+01)
+ORACLE_C = (-7.784894002430293e-03, -3.223964580411365e-01,
+            -2.400758277161838e+00, -2.549732539343734e+00,
+            4.374664141464968e+00, 2.938163982698783e+00)
+ORACLE_D = (7.784695709041462e-03, 3.224671290700398e-01,
+            2.445134137142996e+00, 3.754408661907416e+00)
+
+
+def oracle_acklam_central(p):
+    # num*q/den with num = ((((a0*r + a1)*r + a2)*r + a3)*r + a4)*r + a5 and den
+    # the same in b, ending in *r + 1.0: Horner in place, one buffer each.  On a
+    # float, += and *= rebind instead.
+    a, b = ORACLE_A, ORACLE_B
+    q = p - 0.5
+    r = q * q
+    num = a[0] * r
+    num += a[1]
+    num *= r
+    num += a[2]
+    num *= r
+    num += a[3]
+    num *= r
+    num += a[4]
+    num *= r
+    num += a[5]
+    den = b[0] * r
+    den += b[1]
+    den *= r
+    den += b[2]
+    den *= r
+    den += b[3]
+    den *= r
+    den += b[4]
+    den *= r
+    den += 1.0
+    num *= q
+    num /= den
+    return num
+
+
+def oracle_acklam_tail(p):
+    # Lower tail; callers mirror for the upper one.
+    c, d = ORACLE_C, ORACLE_D
+    q = np.sqrt(-2.0 * np.log(p))
+    num = ((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]
+    den = ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q) + 1.0
+    return num / den
+
 
 def oracle_quantile(p) -> np.ndarray:
     flat = np.asarray(p, dtype=float).ravel()
@@ -39,9 +96,9 @@ def oracle_quantile(p) -> np.ndarray:
     mid = ~(edge | tail)
     out[edge] = -np.inf
     if tail.any():
-        out[tail] = _acklam_tail(pm[tail])
+        out[tail] = oracle_acklam_tail(pm[tail])
     if mid.any():
-        out[mid] = _acklam_central(pm[mid])
+        out[mid] = oracle_acklam_central(pm[mid])
     finite = np.isfinite(out)
     if finite.any():
         x = out[finite]
@@ -172,6 +229,50 @@ def test_quantile_endpoints_do_not_warn():
         assert out[0] == -np.inf and out[1] == np.inf and np.isfinite(out[2])
         for p in (0.0, 1.0, 5e-324):
             norm_quantile(p)
+
+
+# ---------------------------------------------------------------------------
+# Acklam's kernels and the Horner pair behind them
+
+def _lower_half():
+    # (0, 0.5]: the split and its neighbours, subnormals, the smallest normal
+    # and dense draws on both sides of the split.
+    rng = np.random.default_rng(17)
+    return np.concatenate([
+        EDGES[(EDGES > 0.0) & (EDGES <= 0.5)],
+        [5e-324, 1e-320, 2.2250738585072014e-308, np.nextafter(0.0, 1.0) * 3],
+        rng.uniform(_ACKLAM_SPLIT, 0.5, 20000),
+        10.0 ** rng.uniform(-323.0, math.log10(_ACKLAM_SPLIT), 20000),
+    ])
+
+
+@pytest.mark.parametrize("kernel, oracle", [(_acklam_central, oracle_acklam_central),
+                                            (_acklam_tail, oracle_acklam_tail)])
+def test_acklam_kernels_match_written_out_oracle(kernel, oracle):
+    ps = _lower_half()
+    for p in ps.tolist()[:200] + ps.tolist()[-200:]:
+        for arg in (p, np.float64(p)):
+            got, want = kernel(arg), oracle(arg)
+            assert type(got) is type(want)
+            assert bits(got) == bits(want)
+    before = ps.copy()
+    got = kernel(ps)
+    assert got.dtype == np.float64 and got.shape == ps.shape
+    assert got.tobytes() == oracle(ps).tobytes()
+    assert ps.tobytes() == before.tobytes()
+
+
+def test_horner_pair_keeps_floats_and_fills_out():
+    coefs = (3.5, -1.25, 0.5, 2.0)
+    x = 0.3
+    for evl, want in ((_polevl, ((3.5 * x - 1.25) * x + 0.5) * x + 2.0),
+                      (_p1evl, (((x + 3.5) * x - 1.25) * x + 0.5) * x + 2.0)):
+        got = evl(x, coefs)
+        assert type(got) is float and bits(got) == bits(want)
+        xs = np.array([x, -2.0, 7.0])
+        out = np.full(3, np.nan)
+        assert evl(xs, coefs, out) is out
+        assert out.tobytes() == np.array([evl(v, coefs) for v in xs.tolist()]).tobytes()
 
 
 # ---------------------------------------------------------------------------

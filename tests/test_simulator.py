@@ -326,6 +326,19 @@ def test_conditional_deterministic_and_unbounded():
     assert a == b
     assert a.bound_value is None
 
+@pytest.mark.parametrize("rho", [0.0, 0.1])
+@pytest.mark.parametrize("x0", [math.nan, math.inf, -math.inf])
+def test_conditional_rejects_a_non_finite_x0_before_drawing(monkeypatch, rho, x0):
+    # NaN used to surface as a norm_sf error, and inf at rho = 0 as 0*inf.
+    def trap(*_):
+        raise AssertionError("a non-finite x0 reached the sampler")
+    monkeypatch.setattr("gbh_fdr.simulator._block_words", trap)
+    cfg = small_config(rho=rho, replications=10)
+    for run in (lambda: run_mc_conditional(cfg, x0),
+                lambda: generate_sample_conditional(cfg, 0, x0)):
+        with pytest.raises(ValueError, match=rf"^x0={x0} must be finite$"):
+            run()
+
 def test_conditional_pvalue_cdf_matches_closed_form():
     rho = 0.2
     cfg = SimConfig(m=100, group_sizes=(100,), nonnull_counts=(0,), rho=rho,

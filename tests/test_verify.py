@@ -171,6 +171,21 @@ def test_quad_deterministic():
     assert quad_integrals(1.1) == quad_integrals(1.1)
 
 
+def oracle_truncation_point(f, sign: float) -> float:
+    # The cut taken one probe at a time: the scalar exp's bits can differ
+    # from the array exp's in the last place, never enough to move a cut.
+    probe = np.linspace(0.0, 40.0, 2001) * sign
+    vals = np.abs(np.asarray([f(b) for b in probe], dtype=float))
+    above = np.nonzero(vals >= 1e-16 * vals.max())[0]
+    return float(abs(probe[min(int(above[-1]) + 1, probe.size - 1)]))
+
+
+@pytest.mark.parametrize("a", list(INTEGRAL_AS) + np.linspace(1.005, 1.234, 50).tolist())
+def test_truncation_point_matches_pointwise_oracle(a):
+    for _, f, sign in verify._integrands(a):
+        assert verify._truncation_point(f, sign) == oracle_truncation_point(f, sign)
+
+
 # ---------------------------------------------------------------------------
 # Monte Carlo expectation checks
 
@@ -267,6 +282,19 @@ def test_expectation_checks_refuse_a_matrix_over_the_element_budget(monkeypatch,
     with pytest.raises(ValueError, match=r"^replications x m = 419431 x 40 exceeds "
                                          r"16777216 array elements$"):
         check(cfg, *args)
+
+@pytest.mark.parametrize("check, args", [(check_rejection_expectation, (0.01,)),
+                                         (check_loo_expectation, ("paper_h",))])
+@pytest.mark.parametrize("rho", [0.0, 0.1])
+@pytest.mark.parametrize("x0", [math.nan, math.inf, -math.inf])
+def test_expectation_checks_reject_a_non_finite_x0_before_drawing(monkeypatch, check, args,
+                                                                  rho, x0):
+    # inf used to end in a ZeroDivisionError or a cap of inf.
+    def trap(*_):
+        raise AssertionError("a non-finite x0 reached the sampler")
+    monkeypatch.setattr(verify, "stream_uniforms", trap)
+    with pytest.raises(ValueError, match=rf"^x0={x0} must be finite$"):
+        check(lemma_config(rho=rho, replications=10), x0, *args)
 
 def test_loo_expectation_deterministic():
     a = check_loo_expectation(lemma_config(replications=1000), 0.0, "paper_h")
