@@ -329,7 +329,6 @@ def test_conditional_deterministic_and_unbounded():
 @pytest.mark.parametrize("rho", [0.0, 0.1])
 @pytest.mark.parametrize("x0", [math.nan, math.inf, -math.inf])
 def test_conditional_rejects_a_non_finite_x0_before_drawing(monkeypatch, rho, x0):
-    # NaN used to surface as a norm_sf error, and inf at rho = 0 as 0*inf.
     def trap(*_):
         raise AssertionError("a non-finite x0 reached the sampler")
     monkeypatch.setattr("gbh_fdr.simulator._block_words", trap)

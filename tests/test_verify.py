@@ -289,7 +289,6 @@ def test_expectation_checks_refuse_a_matrix_over_the_element_budget(monkeypatch,
 @pytest.mark.parametrize("x0", [math.nan, math.inf, -math.inf])
 def test_expectation_checks_reject_a_non_finite_x0_before_drawing(monkeypatch, check, args,
                                                                   rho, x0):
-    # inf used to end in a ZeroDivisionError or a cap of inf.
     def trap(*_):
         raise AssertionError("a non-finite x0 reached the sampler")
     monkeypatch.setattr(verify, "stream_uniforms", trap)
