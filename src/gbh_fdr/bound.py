@@ -33,7 +33,7 @@ class DomainError(ValueError):
     """A bound evaluation outside its guarantee domain.
 
     constraint names the violated restriction ("lambda", "rho", "alpha",
-    "a", "2-a^2", "cubic").
+    "a", "2-a^2", "cubic", "x0", "b").
     """
 
     def __init__(self, constraint: str, message: str):
@@ -109,10 +109,20 @@ def in_theorem_domain(lam: float, rho: float, alpha: float) -> bool:
     return (0.0 < alpha < 1.0) and (0.0 < rho < rho_max()) and (0.0 < lam <= 0.5)
 
 
+def _finite_x0(x0) -> float:
+    """x0 as a float; DomainError when it is not finite.  Every function of
+    the shared factor applies this one rule before using x0."""
+    x0 = float(x0)
+    if not math.isfinite(x0):
+        raise DomainError("x0", f"x0={x0} must be finite")
+    return x0
+
+
 def ab_from_rho(rho: float, x0: float) -> tuple:
     """Conditional-CDF parameters (a, b) for correlation rho and factor x0."""
     if not (0.0 < rho < 1.0):
         raise DomainError("rho", f"rho={rho} outside (0, 1)")
+    _finite_x0(x0)
     a = 1.0 / math.sqrt(1.0 - rho)
     b = -math.sqrt(rho / (1.0 - rho)) * x0
     return a, b
@@ -129,6 +139,7 @@ def m_factor(rho: float, x0: float) -> float:
     """
     if not (0.0 < rho < rho_max()):
         raise DomainError("rho", f"rho={rho} outside (0, {rho_max():.6f})")
+    _finite_x0(x0)
     s = math.sqrt(1.0 - rho)
     if x0 <= 0.0:
         return 1.0 / s
@@ -144,6 +155,8 @@ def m_factor_ab(a: float, b: float) -> float:
     1 + ((4(a-1)^2 + b^2)/(4(a-1))) * exp(b^2/(8a^2 - 2(a+1)^2))."""
     if not a > 1.0:
         raise DomainError("a", f"a={a} must exceed 1")
+    if not math.isfinite(b):
+        raise DomainError("b", f"b={b} must be finite")
     if b >= 0.0:
         return a
     return 1.0 + ((4.0 * (a - 1.0) ** 2 + b * b) / (4.0 * (a - 1.0))

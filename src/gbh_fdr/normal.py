@@ -11,8 +11,8 @@ Newton step on the CDF, which drives the round-trip error
 Endpoints map to the +-inf sentinels and those propagate through ordinary
 float arithmetic; nothing here clips.
 
-One Horner pair, _polevl and _p1evl, evaluates every polynomial but the
-scalar erfc's: on a float it stays a float, on an array it works in place.
+One Horner evaluator, _polevl, computes every polynomial: on a float it stays
+a float, on an array it works in place.
 The array paths build each result in one new buffer (the quantile and erfc in
 a few) by the same IEEE operations, in the same order, as the scalar ones, so
 they hold the same bits and never write into the caller's array.
@@ -39,27 +39,29 @@ def _scalar_in(x) -> bool:
 # 1 <= |x| < 8, exp(-x^2) R(x)/S(x) for |x| >= 8, and 1 - erf(x) with
 # erf(x) = x T(x^2)/U(x^2) for |x| < 1.  scipy.special.erfc compiles the same
 # code; the coefficients, the Horner order and the libm exp below reproduce it
-# bit for bit.  Plain np.exp must not stand in for math.exp: it can differ in
-# the last bit (see _libm_exp).
+# bit for bit.  Q, S and U carry the leading 1.0 that Cephes' p1evl leaves
+# implicit: 1.0*x is exact, so _polevl then does p1evl's operations.  Plain
+# np.exp must not stand in for math.exp: it can differ in the last bit (see
+# _libm_exp).
 _ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1,
            7.46321056442269912687e0, 4.86371970985681366614e1,
            1.96520832956077098242e2, 5.26445194995477358631e2,
            9.34528527171957607540e2, 1.02755188689515710272e3,
            5.57535335369399327526e2)
-_ERFC_Q = (1.32281951154744992508e1, 8.67072140885989742329e1,
+_ERFC_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1,
            3.54937778887819891062e2, 9.75708501743205489753e2,
            1.82390916687909736289e3, 2.24633760818710981792e3,
            1.65666309194161350182e3, 5.57535340817727675546e2)
 _ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0,
            5.01905042251180477414e0, 6.16021097993053585195e0,
            7.40974269950448939160e0, 2.97886665372100240670e0)
-_ERFC_S = (2.26052863220117276590e0, 9.39603524938001434673e0,
+_ERFC_S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0,
            1.20489539808096656605e1, 1.70814450747565897222e1,
            9.60896809063285878198e0, 3.36907645100081516050e0)
 _ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1,
           2.23200534594684319226e3, 7.00332514112805075473e3,
           5.55923013010394962768e4)
-_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2,
+_ERF_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2,
           4.59432382970980127987e3, 2.26290000613890934246e4,
           4.92673942608635921086e4)
 # Cephes MAXLOG = log(DBL_MAX): below exp(-MAXLOG) erfc returns 0 (or 2).
@@ -71,46 +73,26 @@ def _erfc_scalar(a: float) -> float:
     scipy.special.erfc; NaN in gives NaN out."""
     x = -a if a < 0.0 else a
     if x < 1.0:
-        t, u = _ERF_T, _ERF_U
         z = x * x
-        erf = x * ((((t[0] * z + t[1]) * z + t[2]) * z + t[3]) * z + t[4]) / (
-            ((((z + u[0]) * z + u[1]) * z + u[2]) * z + u[3]) * z + u[4])
+        erf = x * _polevl(z, _ERF_T) / _polevl(z, _ERF_U)
         return 1.0 + erf if a < 0.0 else 1.0 - erf
     if x != x:
         return math.nan
     if -a * a < -_MAXLOG:
         return 2.0 if a < 0.0 else 0.0
-    if x < 8.0:
-        p, q = _ERFC_P, _ERFC_Q
-        num = (((((((p[0] * x + p[1]) * x + p[2]) * x + p[3]) * x + p[4]) * x + p[5]) * x
-                + p[6]) * x + p[7]) * x + p[8]
-        den = (((((((x + q[0]) * x + q[1]) * x + q[2]) * x + q[3]) * x + q[4]) * x
-                + q[5]) * x + q[6]) * x + q[7]
-    else:
-        r, s = _ERFC_R, _ERFC_S
-        num = ((((r[0] * x + r[1]) * x + r[2]) * x + r[3]) * x + r[4]) * x + r[5]
-        den = (((((x + s[0]) * x + s[1]) * x + s[2]) * x + s[3]) * x + s[4]) * x + s[5]
-    y = math.exp(-a * a) * num / den
+    p, q = (_ERFC_P, _ERFC_Q) if x < 8.0 else (_ERFC_R, _ERFC_S)
+    y = math.exp(-a * a) * _polevl(x, p) / _polevl(x, q)
     return 2.0 - y if a < 0.0 else y
 
 
 def _polevl(x, coefs, out=None):
-    # ((c0*x + c1)*x + ...)*x + cn, as Cephes polevl, in out or, without one,
-    # in a new buffer; a float stays a float.
+    # ((c0*x + c1)*x + ...)*x + cn, as Cephes polevl, in out (which must not
+    # overlap x) or, without one, in a new buffer; a float stays a float.
     acc = coefs[0] * x if out is None else np.multiply(coefs[0], x, out=out)
     for c in coefs[1:-1]:
         acc += c
         acc *= x
     acc += coefs[-1]
-    return acc
-
-
-def _p1evl(x, coefs, out=None):
-    # ((x + c0)*x + c1)*x + ... + cn, as Cephes p1evl, likewise.
-    acc = x + coefs[0] if out is None else np.add(x, coefs[0], out=out)
-    for c in coefs[1:]:
-        acc *= x
-        acc += c
     return acc
 
 
@@ -130,12 +112,12 @@ def _erfc_outer(a: np.ndarray) -> np.ndarray:
     x = np.abs(a)
     np.fmin(x, 27.0, out=x)
     num = _polevl(x, _ERFC_P)
-    den = _p1evl(x, _ERFC_Q)
+    den = _polevl(x, _ERFC_Q)
     far = np.flatnonzero(x >= 8.0)
     if far.size:
         xf = x[far]
         num[far] = _polevl(xf, _ERFC_R)
-        den[far] = _p1evl(xf, _ERFC_S)
+        den[far] = _polevl(xf, _ERFC_S)
     # -a*a is exactly -(x*x); past the cut the result is 0, or 2 for a < 0.
     sq = np.multiply(x, x, out=x)
     y = _libm_exp(np.negative(sq))
@@ -163,7 +145,7 @@ def _erfc_array(a: np.ndarray, out: np.ndarray) -> np.ndarray:
     rest = _erfc_outer(np.take(a, outer))
     erf = _polevl(z, _ERF_T, out)
     erf *= c
-    erf /= _p1evl(z, _ERF_U, c)
+    erf /= _polevl(z, _ERF_U, c)
     np.subtract(1.0, erf, out=out)
     np.put(out, outer, rest)
     return out

@@ -51,10 +51,15 @@ class GroupedPValues:
         p = _validate_pvalues(self.pvalues, "GroupedPValues")
         if len(self.groups) == 0:
             raise ValueError("GroupedPValues: at least one group is required")
-        groups = tuple(np.asarray(g, dtype=np.intp).ravel() for g in self.groups)
+        groups = tuple(np.asarray(g).ravel() for g in self.groups)
         for g in groups:
             if g.size == 0:
                 raise ValueError("GroupedPValues: empty groups are not allowed")
+            # Checked, not cast: a cast would truncate 1.2 and read True as 1.
+            if g.dtype.kind not in "iu":
+                raise ValueError(f"GroupedPValues: group indices must be integers, "
+                                 f"got {g.dtype} entries")
+        groups = tuple(g.astype(np.intp, copy=False) for g in groups)
         flat = np.concatenate(groups)
         if flat.size != p.size or not np.array_equal(np.sort(flat), np.arange(p.size)):
             raise ValueError(_PARTITION_MESSAGE)

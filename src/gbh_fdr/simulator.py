@@ -25,7 +25,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .bound import BoundInput, fdr_bound, in_theorem_domain
+from .bound import BoundInput, _finite_x0, fdr_bound, in_theorem_domain
 from .normal import norm_quantile, norm_sf
 from .procedures import GroupedPValues, RejectionResult, bh_step_up, gbh1, storey
 
@@ -242,14 +242,6 @@ def _sample_block(config: SimConfig, lo: int, hi: int, x0: Optional[float] = Non
 def generate_sample(config: SimConfig, rep_index: int) -> tuple:
     """(y, is_null) for one replication; X0 is the substream's first draw."""
     return _sample_block(config, rep_index, rep_index + 1)[0], config.null_mask()
-
-
-def _finite_x0(x0) -> float:
-    """x0 as a float; ValueError, before anything is drawn, when it is not finite."""
-    x0 = float(x0)
-    if not math.isfinite(x0):
-        raise ValueError(f"x0={x0} must be finite")
-    return x0
 
 
 def generate_sample_conditional(config: SimConfig, rep_index: int, x0: float) -> tuple:

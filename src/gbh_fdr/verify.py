@@ -25,12 +25,12 @@ from typing import Optional
 
 import numpy as np
 
-from .bound import (DomainError, ab_from_rho, exact_p_conditional,
+from .bound import (DomainError, _finite_x0, ab_from_rho, exact_p_conditional,
                     integrals_closed, m_factor, rho_max)
 # phi is unused here but stays: perfbench/tracing.py patches verify.phi.
 from .normal import SQRT_2PI, norm_cdf, norm_quantile, phi
 from .procedures import GroupedPValues, gbh1
-from .simulator import (_MAX_ARRAY_ELEMENTS, SimConfig, _finite_x0, _mix, mean_and_se,
+from .simulator import (_MAX_ARRAY_ELEMENTS, SimConfig, _mix, mean_and_se,
                         pvalues_from_sample, stream_uniforms)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0

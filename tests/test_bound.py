@@ -7,6 +7,7 @@ rewrites used in the implementation.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from gbh_fdr import (
     p_lower,
     phi,
     rho_max,
+    sup_f,
 )
 
 
@@ -121,6 +123,25 @@ def test_m_factor_domain_errors():
         m_factor(0.35, 1.0)
     with pytest.raises(DomainError):
         m_factor_ab(0.9, 1.0)
+
+@pytest.mark.parametrize("x0", [math.nan, math.inf, -math.inf])
+def test_functions_of_the_shared_factor_refuse_a_non_finite_one(x0):
+    # One rule, bound._finite_x0, for every function of x0; the cap's
+    # (a, b) form refuses a non-finite b the same way.  Nothing may warn.
+    calls = {"ab_from_rho": lambda: ab_from_rho(0.2, x0),
+             "m_factor": lambda: m_factor(0.2, x0),
+             "p_lower": lambda: p_lower(0.5, 0.2, x0),
+             "exact_p_conditional": lambda: exact_p_conditional(0.5, 0.2, x0),
+             "sup_f": lambda: sup_f(0.2, x0)}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name, call in calls.items():
+            with pytest.raises(DomainError, match=rf"^x0={x0} must be finite$") as e:
+                call()
+            assert e.value.constraint == "x0", name
+        with pytest.raises(DomainError, match=rf"^b={x0} must be finite$") as e:
+            m_factor_ab(1.2, x0)
+        assert e.value.constraint == "b"
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ step-up core and threshold cache, GroupedPValues.with_pvalues and the
 sort-based GroupedPValues.from_labels each replaced simpler code, and the
 leave-one-out weights now reuse gbh1's weight formula.  That earlier code is
 kept below as the oracle, and every output is compared byte for byte.  The
-scalar erfc port is compared with scipy.special.erfc, the kernel it ports.
+erfc kernels are compared with the written-out Cephes port they replaced and
+with scipy.special.erfc, the kernel it ports.
 """
 
 import math
@@ -23,12 +24,12 @@ from gbh_fdr import (GBHWeights, GroupedPValues, RejectionResult, bh_step_up,
                      norm_sf, procedures, simulator, storey)
 from gbh_fdr.normal import (_ACKLAM_SPLIT, _INV_SQRT_2, _INV_SQRT_2PI, _MAXLOG,
                             _acklam_central, _acklam_tail, _erfc_array, _erfc_scalar,
-                            _libm_exp, _p1evl, _polevl)
+                            _libm_exp, _polevl)
 
 
 # ---------------------------------------------------------------------------
-# oracles: Acklam's polynomials written out, the masked array quantile and
-# the per-group procedures
+# oracles: Acklam's polynomials and the scalar erfc written out, the masked
+# array quantile and the per-group procedures
 
 # Acklam's coefficients, frozen here so that the oracle shares nothing with
 # the module's Horner evaluator.
@@ -84,6 +85,59 @@ def oracle_acklam_tail(p):
     num = ((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]
     den = ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q) + 1.0
     return num / den
+
+
+# Cephes' erfc coefficients as Cephes lists them, Q, S and U without their
+# implicit leading 1.0, frozen here for the same reason.
+ORACLE_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1,
+                 7.46321056442269912687e0, 4.86371970985681366614e1,
+                 1.96520832956077098242e2, 5.26445194995477358631e2,
+                 9.34528527171957607540e2, 1.02755188689515710272e3,
+                 5.57535335369399327526e2)
+ORACLE_ERFC_Q = (1.32281951154744992508e1, 8.67072140885989742329e1,
+                 3.54937778887819891062e2, 9.75708501743205489753e2,
+                 1.82390916687909736289e3, 2.24633760818710981792e3,
+                 1.65666309194161350182e3, 5.57535340817727675546e2)
+ORACLE_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0,
+                 5.01905042251180477414e0, 6.16021097993053585195e0,
+                 7.40974269950448939160e0, 2.97886665372100240670e0)
+ORACLE_ERFC_S = (2.26052863220117276590e0, 9.39603524938001434673e0,
+                 1.20489539808096656605e1, 1.70814450747565897222e1,
+                 9.60896809063285878198e0, 3.36907645100081516050e0)
+ORACLE_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1,
+                2.23200534594684319226e3, 7.00332514112805075473e3,
+                5.55923013010394962768e4)
+ORACLE_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2,
+                4.59432382970980127987e3, 2.26290000613890934246e4,
+                4.92673942608635921086e4)
+ORACLE_MAXLOG = 7.09782712893383996732e2
+
+
+def oracle_erfc_scalar(a: float) -> float:
+    # Cephes' erfc term by term: polevl for P, R and T, p1evl for Q, S and U.
+    x = -a if a < 0.0 else a
+    if x < 1.0:
+        t, u = ORACLE_ERF_T, ORACLE_ERF_U
+        z = x * x
+        erf = x * ((((t[0] * z + t[1]) * z + t[2]) * z + t[3]) * z + t[4]) / (
+            ((((z + u[0]) * z + u[1]) * z + u[2]) * z + u[3]) * z + u[4])
+        return 1.0 + erf if a < 0.0 else 1.0 - erf
+    if x != x:
+        return math.nan
+    if -a * a < -ORACLE_MAXLOG:
+        return 2.0 if a < 0.0 else 0.0
+    if x < 8.0:
+        p, q = ORACLE_ERFC_P, ORACLE_ERFC_Q
+        num = (((((((p[0] * x + p[1]) * x + p[2]) * x + p[3]) * x + p[4]) * x + p[5]) * x
+                + p[6]) * x + p[7]) * x + p[8]
+        den = (((((((x + q[0]) * x + q[1]) * x + q[2]) * x + q[3]) * x + q[4]) * x
+                + q[5]) * x + q[6]) * x + q[7]
+    else:
+        r, s = ORACLE_ERFC_R, ORACLE_ERFC_S
+        num = ((((r[0] * x + r[1]) * x + r[2]) * x + r[3]) * x + r[4]) * x + r[5]
+        den = (((((x + s[0]) * x + s[1]) * x + s[2]) * x + s[3]) * x + s[4]) * x + s[5]
+    y = math.exp(-a * a) * num / den
+    return 2.0 - y if a < 0.0 else y
 
 
 def oracle_quantile(p) -> np.ndarray:
@@ -263,16 +317,29 @@ def test_acklam_kernels_match_written_out_oracle(kernel, oracle):
 
 
 def test_horner_pair_keeps_floats_and_fills_out():
+    # One evaluator for both Cephes forms: with a leading 1.0 it must give
+    # p1evl's bits, since 1.0*x is exact.  out may not overlap x.
     coefs = (3.5, -1.25, 0.5, 2.0)
-    x = 0.3
-    for evl, want in ((_polevl, ((3.5 * x - 1.25) * x + 0.5) * x + 2.0),
-                      (_p1evl, (((x + 3.5) * x - 1.25) * x + 0.5) * x + 2.0)):
-        got = evl(x, coefs)
-        assert type(got) is float and bits(got) == bits(want)
-        xs = np.array([x, -2.0, 7.0])
-        out = np.full(3, np.nan)
-        assert evl(xs, coefs, out) is out
-        assert out.tobytes() == np.array([evl(v, coefs) for v in xs.tolist()]).tobytes()
+
+    def want_polevl(x):
+        return ((3.5 * x - 1.25) * x + 0.5) * x + 2.0
+
+    def want_p1evl(x):
+        return (((x + 3.5) * x - 1.25) * x + 0.5) * x + 2.0
+
+    xs = np.array([0.3, -2.0, 7.0, 0.0, -0.0, 1e-310, 1e30, np.inf, np.nan])
+    for tup, want in ((coefs, want_polevl), ((1.0,) + coefs, want_p1evl)):
+        for x in xs.tolist():
+            got = _polevl(x, tup)
+            assert type(got) is float and bits(got) == bits(want(x))
+            got = _polevl(np.float64(x), tup)
+            assert type(got) is np.float64 and bits(got) == bits(want(x))
+        before = xs.copy()
+        got = _polevl(xs, tup)
+        assert got is not xs and got.tobytes() == want(xs).tobytes()
+        out = np.full(xs.shape, 5.0)
+        assert _polevl(xs, tup, out) is out and out.tobytes() == want(xs).tobytes()
+        assert xs.tobytes() == before.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +427,18 @@ def test_erfc_port_is_bitwise_scipy_on_edges():
 @given(st.floats(allow_nan=False, allow_infinity=False))
 def test_erfc_port_is_bitwise_scipy(x):
     assert_erfc_bits([x])
+
+
+def test_erfc_kernels_match_written_out_oracle():
+    # The written-out Cephes port pins both kernels, whatever scipy is installed.
+    xs = np.concatenate([ERFC_EDGES, _erfc_random_sets()])
+    want = np.array([oracle_erfc_scalar(x) for x in xs.tolist()]).view(np.int64)
+    scalar = [_erfc_scalar(x) for x in xs.tolist()]
+    assert all(type(v) is float for v in scalar)
+    got = np.array(scalar).view(np.int64)
+    assert [x for x, g, w in zip(xs.tolist(), got, want) if g != w] == []
+    got = _erfc_array(xs, np.empty_like(xs)).view(np.int64)
+    assert [x for x, g, w in zip(xs.tolist(), got, want) if g != w] == []
 
 
 # ---------------------------------------------------------------------------

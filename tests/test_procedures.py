@@ -54,6 +54,34 @@ def test_grouped_pvalues_rejects_bad_inputs():
     with pytest.raises(ValueError):
         GroupedPValues(np.array([0.1, 0.2, 0.3]), (np.array([0]), np.array([2])))
 
+@pytest.mark.parametrize("group", [(0.9, 1.2), (0.0, 1.0), ("0", "1"), (True, False),
+                                   np.array([0, 1], dtype=object)])
+def test_grouped_pvalues_rejects_non_integer_indices(group):
+    # The indices are checked, not cast: a cast would read 1.2 and True as 1.
+    with pytest.raises(ValueError, match=r"^GroupedPValues: group indices must be integers"):
+        GroupedPValues(np.array([0.1, 0.2]), (group,))
+    with pytest.raises(ValueError, match=r"^GroupedPValues: group indices must be integers"):
+        GroupedPValues(np.array([0.1, 0.2, 0.3]), (np.array([2]), group))
+
+def test_grouped_pvalues_takes_any_integer_dtype():
+    for dtype in (np.int8, np.uint16, np.int32, np.int64, np.uint64):
+        gp = GroupedPValues(np.array([0.1, 0.2, 0.3]),
+                            (np.array([2, 0], dtype=dtype), np.array([1], dtype=dtype)))
+        assert all(g.dtype == np.intp for g in gp.groups)
+        assert [g.tolist() for g in gp.groups] == [[2, 0], [1]]
+    gp = GroupedPValues(np.array([0.1, 0.2]), ((0, 1),))
+    assert gp.groups[0].dtype == np.intp and gp.groups[0].tolist() == [0, 1]
+
+@pytest.mark.parametrize("groups, message", [
+    ((), "at least one group is required"),
+    (((0, 1), ()), "empty groups are not allowed"),
+    (((0,), (0,)), "groups must partition the index range exactly"),
+])
+def test_grouped_pvalues_keeps_its_messages(groups, message):
+    with pytest.raises(ValueError) as e:
+        GroupedPValues(np.array([0.1, 0.2]), groups)
+    assert str(e.value) == f"GroupedPValues: {message}"
+
 def test_from_labels_orders_by_first_appearance():
     gp = GroupedPValues.from_labels([0.5, 0.6, 0.7], ["b", "a", "b"])
     assert gp.g == 2
