@@ -13,16 +13,21 @@ float arithmetic; nothing here clips.
 
 One Horner evaluator, _polevl, computes every polynomial: on a float it stays
 a float, on an array it works in place.
-The array paths build each result in one new buffer (the quantile and erfc in
-a few) by the same IEEE operations, in the same order, as the scalar ones, so
-they hold the same bits and never write into the caller's array.
+The array paths compute each element by the same IEEE operations, in the same
+order, as the scalar ones, so they hold the same bits.  norm_quantile and
+norm_sf write their result into a new array or into the out= array given,
+which may be the input itself; without out= the input is never written.
+Their work arrays are new on each call, except inside _scratch(), where each
+thread reuses one set of them from block to block.
 
 All functions accept scalars or numpy arrays and return matching shapes.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import threading
 
 import numpy as np
 
@@ -33,6 +38,40 @@ _INV_SQRT_2 = 1.0 / math.sqrt(2.0)
 
 def _scalar_in(x) -> bool:
     return type(x) is float or np.ndim(x) == 0
+
+
+# The calling thread's work arrays, name -> flat buffer, while it is inside
+# _scratch(); None outside.
+_SCRATCH = threading.local()
+
+
+@contextlib.contextmanager
+def _scratch():
+    """Inside this context the array kernels of this thread take their work
+    arrays from one set, a buffer per name grown to the largest call,
+    instead of new ones; the set is dropped on exit.  A sampling loop
+    enters it once, so that its blocks do not fault freshly mapped
+    temporaries in anew each time."""
+    saved = getattr(_SCRATCH, "bufs", None)
+    _SCRATCH.bufs = {}
+    try:
+        yield
+    finally:
+        _SCRATCH.bufs = saved
+
+
+def _work(name: str, shape, dtype=float) -> np.ndarray:
+    """An uninitialised C-ordered work array of the given shape: the
+    thread's buffer called name inside _scratch(), else a new one.  Two
+    arrays alive at once need two names."""
+    bufs = getattr(_SCRATCH, "bufs", None)
+    if bufs is None:
+        return np.empty(shape, dtype)
+    n = math.prod(shape)
+    buf = bufs.get(name)
+    if buf is None or buf.size < n:
+        buf = bufs[name] = np.empty(n, dtype)
+    return buf[:n].reshape(shape)
 
 
 # Cephes ndtr.c (S. L. Moshier): erfc(x) = exp(-x^2) P(x)/Q(x) for
@@ -136,12 +175,15 @@ def _erfc_array(a: np.ndarray, out: np.ndarray) -> np.ndarray:
     # |a| < 1: 1 - erf(a) with erf(a) = a T(z)/U(z) and z = a*a, which for
     # a < 0 is exactly the port's 1 + x T/U, x = |a|.  The clip keeps the
     # other entries finite.
-    c = np.clip(a, -1.0, 1.0, out=np.empty(a.shape))
-    z = c * c
+    c = np.clip(a, -1.0, 1.0, out=_work("clip", a.shape))
+    z = np.multiply(c, c, out=_work("square", a.shape))
     # z < 1 exactly where |a| < 1.  The other entries and NaN take the outer
     # branches; they are gathered first, because out may be a.  Then out
-    # holds erf, and c's buffer, once used, holds U.
-    outer = np.flatnonzero(~(z < 1.0))
+    # holds erf, and c's buffer, once used, holds U.  (take and put copy an
+    # a or out that is not C-contiguous; norm_quantile and norm_sf pass
+    # their work arrays, which are.)
+    inner = np.less(z, 1.0, out=_work("inner", a.shape, bool))
+    outer = np.flatnonzero(np.logical_not(inner, out=inner))
     rest = _erfc_outer(np.take(a, outer))
     erf = _polevl(z, _ERF_T, out)
     erf *= c
@@ -158,19 +200,34 @@ def phi(x):
     return float(out) if _scalar_in(x) else out
 
 
-def _half_erfc(x, scale: float, name: str):
-    """0.5*erfc(scale*x), rejecting NaN; a float for a scalar, else an array."""
-    if _scalar_in(x):
+def _half_erfc(x, scale: float, name: str, out=None):
+    """0.5*erfc(scale*x), rejecting NaN; a float for a scalar without out,
+    else an array: out, which may be x itself, or a new one."""
+    if out is None and _scalar_in(x):
         v = float(x)
         if v != v:
             raise ValueError(f"{name}: NaN is not a valid argument")
         return 0.5 * _erfc_scalar(v * scale)
     arr = np.asarray(x, dtype=float)
-    if np.isnan(arr).any():
+    # min is NaN exactly when an entry is.
+    if arr.size and np.isnan(arr.min()):
         raise ValueError(f"{name}: NaN is not a valid argument")
-    out = arr * scale
-    _erfc_array(out, out)
-    out *= 0.5
+    out = _out_array(name, arr, out)
+    # erfc runs in a C-ordered work array, whatever out's layout: the one
+    # norm_quantile uses for Acklam's r and then its Newton step.
+    arg = np.multiply(arr, scale, out=_work("r", arr.shape))
+    _erfc_array(arg, arg)
+    return np.multiply(arg, 0.5, out=out)
+
+
+def _out_array(name: str, arr: np.ndarray, out) -> np.ndarray:
+    """A new array of arr's shape for out None; else out, refused unless it
+    is a writeable float64 array of that shape."""
+    if out is None:
+        return np.empty(arr.shape)
+    if not (isinstance(out, np.ndarray) and out.dtype == np.float64
+            and out.shape == arr.shape and out.flags.writeable):
+        raise ValueError(f"{name}: out must be a writeable float64 array of shape {arr.shape}")
     return out
 
 
@@ -183,12 +240,14 @@ def norm_cdf(x):
     return _half_erfc(x, -_INV_SQRT_2, "norm_cdf")
 
 
-def norm_sf(x):
+def norm_sf(x, out=None):
     """Upper tail probability 1 - cdf(x), computed as 0.5*erfc(x/sqrt(2)).
 
     Cancellation-free in the right tail, unlike literal 1 - norm_cdf(x).
+    With out (a float64 array of x's shape, which may be x itself) the
+    result is written there and out is returned.
     """
-    return _half_erfc(x, _INV_SQRT_2, "norm_sf")
+    return _half_erfc(x, _INV_SQRT_2, "norm_sf", out)
 
 
 # Acklam's rational approximation to the normal quantile: three pieces with
@@ -207,13 +266,15 @@ _ACKLAM_D = (7.784695709041462e-03, 3.224671290700398e-01,
 _ACKLAM_SPLIT = 0.02425
 
 
-def _acklam_central(p):
-    # q*A(r)/B(r) with r = q*q.
-    q = p - 0.5
-    r = q * q
-    num = _polevl(r, _ACKLAM_A)
+def _acklam_central(p, out=None):
+    # q*A(r)/B(r) with r = q*q, in out (which must not overlap p) or, without
+    # one, in a new buffer; a float stays a float.  With out, q's buffer,
+    # once used, holds B.
+    q = p - 0.5 if out is None else np.subtract(p, 0.5, out=_work("q", p.shape))
+    r = q * q if out is None else np.multiply(q, q, out=_work("r", p.shape))
+    num = _polevl(r, _ACKLAM_A, out)
     num *= q
-    num /= _polevl(r, _ACKLAM_B)
+    num /= _polevl(r, _ACKLAM_B, None if out is None else q)
     return num
 
 
@@ -225,32 +286,37 @@ def _acklam_tail(p):
     return num
 
 
-def norm_quantile(p):
+def norm_quantile(p, out=None):
     """Inverse of norm_cdf on [0, 1]; 0 -> -inf, 1 -> +inf.
 
     Acklam's approximation plus one Newton step x -= (cdf(x)-p)/phi(x).
-    Rejects arguments outside [0, 1] and NaN.
+    Rejects arguments outside [0, 1] and NaN.  With out (a float64 array of
+    p's shape, which may be p itself) the result is written there and out is
+    returned.
     """
-    if _scalar_in(p):
+    if out is None and _scalar_in(p):
         return _quantile_scalar(float(p))
     arr = np.asarray(p, dtype=float)
     # argmin and argmax land on the first NaN if there is one, and NaN fails
     # both comparisons; an empty array has nothing to check.
     if arr.size and not (arr.flat[arr.argmin()] >= 0.0 and arr.flat[arr.argmax()] <= 1.0):
         raise ValueError("norm_quantile: p must lie in [0, 1]")
+    out = _out_array("norm_quantile", arr, out)
 
     # Invert on the lower half only: for p >= 1/2 the complement 1-p is exact
     # in IEEE arithmetic, and the lower-tail CDF keeps full relative accuracy,
     # so the Newton polish never runs through the cancellation-limited side.
-    # On [0, 1] the smaller of p and 1-p is exactly the mirrored p.
-    mirror = arr > 0.5
-    pm = np.minimum(arr, 1.0 - arr)
+    # On [0, 1] the smaller of p and 1-p is exactly the mirrored p.  Nothing
+    # below reads arr, so out may be arr.
+    mirror = np.greater(arr, 0.5, out=_work("mirror", arr.shape, bool))
+    pm = np.subtract(1.0, arr, out=_work("pm", arr.shape))
+    np.minimum(arr, pm, out=pm)
 
-    out = _acklam_central(pm)
-    tail = pm < _ACKLAM_SPLIT
+    _acklam_central(pm, out)
+    tail = np.less(pm, _ACKLAM_SPLIT, out=_work("tail", arr.shape, bool))
     if tail.any():
-        edge = pm == 0.0
-        tail &= ~edge
+        edge = np.equal(pm, 0.0, out=_work("edge", arr.shape, bool))
+        tail ^= edge  # every edge entry is a tail entry: this drops them
         out[tail] = _acklam_tail(pm[tail])
         out[edge] = -np.inf
 
@@ -259,16 +325,16 @@ def norm_quantile(p):
     # -inf sentinel the density is 0 too, so the step is 0 there.
     # The density _INV_SQRT_2PI*exp(-0.5*x*x) and the step
     # (0.5*erfc(-x*_INV_SQRT_2) - pm)/density, operation for operation, each in
-    # one buffer (x*-c is exactly -x*c).
-    dens = -0.5 * out
+    # one buffer (x*-c is exactly -x*c): Acklam's q and r, free again.
+    dens = np.multiply(-0.5, out, out=_work("q", arr.shape))
     dens *= out
     np.exp(dens, out=dens)
     dens *= _INV_SQRT_2PI
-    step = out * -_INV_SQRT_2
+    step = np.multiply(out, -_INV_SQRT_2, out=_work("r", arr.shape))
     _erfc_array(step, step)
     step *= 0.5
     step -= pm
-    live = dens > 0.0
+    live = np.greater(dens, 0.0, out=tail)
     np.divide(step, dens, out=step, where=live)
     np.subtract(out, step, out=out, where=live)
 

@@ -188,8 +188,13 @@ def _step_up(scores: np.ndarray, alpha: float) -> RejectionResult:
     k_star = int(ok[-1]) + 1 if ok.size else 0
     threshold = k_star * alpha / m
     rejected = tuple((scores <= threshold).nonzero()[0].tolist()) if k_star else ()
-    return RejectionResult(rejected=rejected, k_star=k_star, threshold=threshold,
-                           weighted_pvalues=scores)
+    # The frozen dataclass's __init__ sets each field through
+    # object.__setattr__; filling __dict__ builds the same instance in about
+    # half the time, as with_pvalues does.
+    out = object.__new__(RejectionResult)
+    out.__dict__.update(rejected=rejected, k_star=k_star, threshold=threshold,
+                        weighted_pvalues=scores)
+    return out
 
 
 def bh_step_up(scores, alpha: float) -> RejectionResult:

@@ -6,7 +6,9 @@ replication owns a counter-based RNG substream keyed by (seed, rep_index), so
 results are bit-identical for a fixed seed no matter how replications are
 split into sampling blocks.  A block stacks its replications' uniforms into
 one matrix and pushes it through the quantile in one call; the procedure
-still runs once per replication, in one thread and in index order.
+still runs once per replication, in one thread and in index order.  A
+campaign owns one words block and one float block and builds every sampling
+block in them, from the Philox words to the clipped p-values, in place.
 
 Uniforms are drawn as lattice midpoints (k + 0.5)/2^53 and pushed through the
 package quantile, so normal variates inherit the audited inverse-CDF path and
@@ -26,7 +28,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .bound import BoundInput, _finite_x0, fdr_bound, in_theorem_domain
-from .normal import norm_quantile, norm_sf
+from .normal import _scratch, norm_quantile, norm_sf
 from .procedures import GroupedPValues, RejectionResult, bh_step_up, gbh1, storey
 
 PROCEDURES = ("gbh1", "storey", "bh")
@@ -48,6 +50,14 @@ _MAX_ARRAY_ELEMENTS = 2 ** 24
 
 class ConfigError(ValueError):
     """Invalid simulation configuration."""
+
+
+def _not_bool(name: str, value):
+    """value, unless it is a bool: bool subclasses int, so operator.index and
+    float would read True as 1 and the comparisons would pass False as 0."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ConfigError(f"{name}: {value!r} is a bool, not a number")
+    return value
 
 
 @dataclass(frozen=True)
@@ -75,18 +85,22 @@ class SimConfig:
         for name in ("group_sizes", "nonnull_counts"):
             value = getattr(self, name)
             try:
-                object.__setattr__(self, name, tuple(map(operator.index, value)))
+                object.__setattr__(self, name, tuple(operator.index(_not_bool(name, v))
+                                                     for v in value))
             except TypeError:
                 raise ConfigError(f"{name}={value!r} must be a sequence of integers") from None
         if isinstance(self.effect_mu, (tuple, list, np.ndarray)):
-            object.__setattr__(self, "effect_mu", tuple(float(v) for v in self.effect_mu))
+            object.__setattr__(self, "effect_mu",
+                               tuple(float(_not_bool("effect_mu", v)) for v in self.effect_mu))
         else:
-            object.__setattr__(self, "effect_mu", float(self.effect_mu))
+            object.__setattr__(self, "effect_mu", float(_not_bool("effect_mu", self.effect_mu)))
         for name in ("m", "replications", "seed"):
             try:
-                object.__setattr__(self, name, operator.index(getattr(self, name)))
+                object.__setattr__(self, name, operator.index(_not_bool(name, getattr(self, name))))
             except TypeError:
                 raise ConfigError(f"{name}={getattr(self, name)!r} must be an integer") from None
+        for name in ("rho", "lam", "alpha"):
+            _not_bool(name, getattr(self, name))
         if self.m < 1:
             raise ConfigError(f"m={self.m} must be >= 1")
         if self.m + 1 > _MAX_ARRAY_ELEMENTS:
@@ -159,15 +173,17 @@ class SimSummary:
     config: SimConfig
 
 
-def _lattice(words: np.ndarray) -> np.ndarray:
-    """Raw Philox words -> lattice-midpoint uniforms (k + 0.5)/2^53.  k is the
-    word shifted right by 11, which is exactly what
-    Generator.integers(0, 2**53) returns: with a power-of-two range its
+def _lattice(words: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Raw Philox words -> lattice-midpoint uniforms (k + 0.5)/2^53, written
+    into out (a float array of words' shape) and returned; words is
+    overwritten with k.  k is the word shifted right by 11, which is exactly
+    what Generator.integers(0, 2**53) returns: with a power-of-two range its
     bounded draw never rejects a word."""
-    u = (words >> np.uint64(11)).astype(float)
-    u += 0.5
-    u /= _U_DENOM
-    return u
+    np.right_shift(words, np.uint64(11), out=words)
+    np.copyto(out, words)
+    out += 0.5
+    out /= _U_DENOM
+    return out
 
 
 def _key(seed: int, index: int) -> np.ndarray:
@@ -175,9 +191,9 @@ def _key(seed: int, index: int) -> np.ndarray:
     return np.array([int(seed) % (2 ** 64), int(index) % (2 ** 64)], dtype=np.uint64)
 
 
-def _block_words(seed: int, lo: int, hi: int, width: int) -> np.ndarray:
-    """(hi - lo, width) raw Philox words; row r - lo starts the stream keyed
-    (seed, r).
+def _block_words(seed: int, lo: int, hi: int, width: int, out=None) -> np.ndarray:
+    """(hi - lo, width) raw Philox words, in out (a uint64 array of that
+    shape) or a new array; row r - lo starts the stream keyed (seed, r).
 
     One Philox serves the whole block.  For each later row it is re-keyed by
     assigning it the state a fresh Philox(key=[seed, r]) starts in: counter
@@ -187,7 +203,7 @@ def _block_words(seed: int, lo: int, hi: int, width: int) -> np.ndarray:
     takes in about half the time of uint64 arrays.
     """
     bitgen = np.random.Philox(key=_key(seed, lo))
-    words = np.empty((hi - lo, width), dtype=np.uint64)
+    words = np.empty((hi - lo, width), dtype=np.uint64) if out is None else out
     words[0] = bitgen.random_raw(width)
     if hi - lo > 1:
         key = [int(seed) % (2 ** 64), 0]
@@ -202,38 +218,50 @@ def _block_words(seed: int, lo: int, hi: int, width: int) -> np.ndarray:
     return words
 
 
-def stream_uniforms(seed: int, index: int, rows: int, width: int):
-    """The (rows, width) matrix of lattice uniforms that the one Philox stream
-    keyed (seed, index) fills row by row, yielded in blocks of
-    _BLOCK_ELEMENTS // width rows (at least one): the draw behind the audits'
-    pre-sampled p-value matrices.  Each random_raw call continues the stream,
-    so the blocks hold the words of one draw of rows x width."""
+def stream_uniforms(seed: int, index: int, out: np.ndarray):
+    """Fill the float matrix out, (rows, width), with the lattice uniforms
+    that the one Philox stream keyed (seed, index) gives row by row, in
+    blocks of _BLOCK_ELEMENTS // width rows (at least one), and yield each
+    block of out once it is filled: the draw behind the audits' pre-sampled
+    p-value matrices.  Each random_raw call continues the stream, so the
+    blocks hold the words of one draw of rows x width."""
     bitgen = np.random.Philox(key=_key(seed, index))
+    rows, width = out.shape
     step = max(1, _BLOCK_ELEMENTS // width)
     for start in range(0, rows, step):
-        n = min(step, rows - start)
-        yield _lattice(bitgen.random_raw(n * width).reshape(n, width))
+        block = out[start:start + step]
+        yield _lattice(bitgen.random_raw(block.size).reshape(block.shape), block)
 
 
 def _mix(config: SimConfig, z: np.ndarray, x0) -> np.ndarray:
-    """y = mu + sqrt(1-rho)*z + sqrt(rho)*x0, summed in that order, in one new
-    array; x0 is a float or a column of the rows' own factors."""
-    y = math.sqrt(1.0 - config.rho) * z
-    y += config.mu_vector()
-    y += math.sqrt(config.rho) * x0
-    return y
+    """y = mu + sqrt(1-rho)*z + sqrt(rho)*x0, summed in that order, in z
+    itself, which is returned; x0 is a float or a column of the rows' own
+    factors that z does not overlap."""
+    z *= math.sqrt(1.0 - config.rho)
+    z += config.mu_vector()
+    z += math.sqrt(config.rho) * x0
+    return z
 
 
-def _sample_block(config: SimConfig, lo: int, hi: int, x0: Optional[float] = None) -> np.ndarray:
+def _sample_block(config: SimConfig, lo: int, hi: int, x0: Optional[float] = None,
+                  words: Optional[np.ndarray] = None,
+                  block: Optional[np.ndarray] = None) -> np.ndarray:
     """(hi - lo, m) matrix of y for replications lo..hi-1.
 
     Row r - lo holds replication r's draws from its own (seed, r) stream, so
     a row does not depend on which block it was sampled in.  With x0 None the
     stream's first draw is X0 (m + 1 draws per row); otherwise the shared
     factor is pinned at x0 (m draws).  One quantile call covers the block.
+    The block is built in place at the front of words (uint64) and block
+    (float64), flat buffers of at least (hi - lo) * (m + 1) elements, or in
+    new ones; y is a view of block.
     """
     width = config.m + 1 if x0 is None else config.m
-    z = norm_quantile(_lattice(_block_words(config.seed, lo, hi, width)))
+    n = (hi - lo) * width
+    words = (np.empty(n, np.uint64) if words is None else words[:n]).reshape(hi - lo, width)
+    block = (np.empty(n) if block is None else block[:n]).reshape(hi - lo, width)
+    z = _lattice(_block_words(config.seed, lo, hi, width, words), block)
+    norm_quantile(z, out=z)
     if x0 is None:
         x0, z = z[:, :1], z[:, 1:]
     return _mix(config, z, x0)
@@ -249,10 +277,13 @@ def generate_sample_conditional(config: SimConfig, rep_index: int, x0: float) ->
     return _sample_block(config, rep_index, rep_index + 1, _finite_x0(x0))[0], config.null_mask()
 
 
-def pvalues_from_sample(y) -> np.ndarray:
-    """One-sided p-values 1 - cdf(y), clipped into the open unit interval."""
-    p = norm_sf(np.asarray(y, dtype=float))
-    # An array comes back new, so it is clipped in place; a scalar as a float.
+def pvalues_from_sample(y, out=None) -> np.ndarray:
+    """One-sided p-values 1 - cdf(y), clipped into the open unit interval.
+    With out (a float64 array of y's shape, which may be y itself) they are
+    written there and out is returned."""
+    p = norm_sf(np.asarray(y, dtype=float), out=out)
+    # An array comes back as out or new, so it is clipped in place; a scalar
+    # as a float.
     return np.clip(p, _P_FLOOR, _P_CEIL, out=p if isinstance(p, np.ndarray) else None)
 
 
@@ -298,15 +329,21 @@ def _mc_loop(config: SimConfig, x0: Optional[float] = None) -> SimSummary:
     fdp = np.zeros(reps)
     tpp = np.zeros(reps)
     rows = max(1, _BLOCK_ELEMENTS // (config.m + 1))
-    for start in range(0, reps, rows):
-        stop = min(start + rows, reps)
-        p = pvalues_from_sample(_sample_block(config, start, stop, x0))
-        for r in range(start, stop):
-            res = _apply_procedure(config, partition, p[r - start])
-            if res.k_star > 0:
-                v = int(np.count_nonzero(is_null.take(res.rejected)))
-                fdp[r] = v / res.k_star
-                tpp[r] = (res.k_star - v) / max(n_alt, 1)
+    # Every block is built in these two buffers, and the normal kernels keep
+    # their work arrays for the campaign, so no block allocates its own.
+    words = np.empty(rows * (config.m + 1), np.uint64)
+    block = np.empty(rows * (config.m + 1))
+    with _scratch():
+        for start in range(0, reps, rows):
+            stop = min(start + rows, reps)
+            y = _sample_block(config, start, stop, x0, words, block)
+            p = pvalues_from_sample(y, out=y)
+            for r in range(start, stop):
+                res = _apply_procedure(config, partition, p[r - start])
+                if res.k_star > 0:
+                    v = int(np.count_nonzero(is_null.take(res.rejected)))
+                    fdp[r] = v / res.k_star
+                    tpp[r] = (res.k_star - v) / max(n_alt, 1)
     fdr_hat, fdr_se = mean_and_se(fdp)
     power_hat, power_se = mean_and_se(tpp) if n_alt else (None, None)
     bound_value = _bound_or_none(config) if x0 is None else None

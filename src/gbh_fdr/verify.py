@@ -28,7 +28,7 @@ import numpy as np
 from .bound import (DomainError, _finite_x0, ab_from_rho, exact_p_conditional,
                     integrals_closed, m_factor, rho_max)
 # phi is unused here but stays: perfbench/tracing.py patches verify.phi.
-from .normal import SQRT_2PI, norm_cdf, norm_quantile, phi
+from .normal import SQRT_2PI, _scratch, norm_cdf, norm_quantile, phi
 from .procedures import GroupedPValues, gbh1
 from .simulator import (_MAX_ARRAY_ELEMENTS, SimConfig, _mix, mean_and_se,
                         pvalues_from_sample, stream_uniforms)
@@ -202,19 +202,18 @@ def quad_integrals(a: float) -> tuple:
 def _conditional_pvalue_matrix(config: SimConfig, x0: float, tag: int) -> np.ndarray:
     """(replications, m) conditional null-model p-values from one dedicated
     substream keyed (seed, tag); deterministic given the config.  The stream
-    is drawn and transformed a block of rows at a time into the one output
-    array.  Raises ValueError, before drawing, when x0 is not finite or the
-    matrix exceeds the element budget."""
+    is drawn a block of rows at a time into the one output array and turned
+    into p-values there, in place.  Raises ValueError, before drawing, when
+    x0 is not finite or the matrix exceeds the element budget."""
     x0 = _finite_x0(x0)
     if config.replications * config.m > _MAX_ARRAY_ELEMENTS:
         raise ValueError(f"replications x m = {config.replications} x {config.m} exceeds "
                          f"{_MAX_ARRAY_ELEMENTS} array elements")
     out = np.empty((config.replications, config.m))
-    start = 0
-    for u in stream_uniforms(config.seed, tag, config.replications, config.m):
-        stop = start + u.shape[0]
-        out[start:stop] = pvalues_from_sample(_mix(config, norm_quantile(u), x0))
-        start = stop
+    with _scratch():
+        for u in stream_uniforms(config.seed, tag, out):
+            norm_quantile(u, out=u)
+            pvalues_from_sample(_mix(config, u, x0), out=u)
     return out
 
 

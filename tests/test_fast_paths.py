@@ -10,7 +10,11 @@ erfc kernels are compared with the written-out Cephes port they replaced and
 with scipy.special.erfc, the kernel it ports.
 """
 
+import contextlib
+import dataclasses
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -20,11 +24,12 @@ from hypothesis import strategies as st
 from scipy.special import erfc
 
 from gbh_fdr import (GBHWeights, GroupedPValues, RejectionResult, bh_step_up,
-                     gbh1, gbh1_weights, gbh1_weights_loo, norm_cdf, norm_quantile,
+                     gbh1, gbh1_weights, gbh1_weights_loo, normal, norm_cdf, norm_quantile,
                      norm_sf, procedures, simulator, storey)
 from gbh_fdr.normal import (_ACKLAM_SPLIT, _INV_SQRT_2, _INV_SQRT_2PI, _MAXLOG,
                             _acklam_central, _acklam_tail, _erfc_array, _erfc_scalar,
-                            _libm_exp, _polevl)
+                            _libm_exp, _polevl, _scratch)
+from gbh_fdr.verify import _conditional_pvalue_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -583,6 +588,147 @@ def test_array_kernels_leave_their_input_alone(kernel, oracle, values, layout):
 
 
 # ---------------------------------------------------------------------------
+# the kernels with out=, with and without the reused work arrays
+
+def _sf_oracle(x):
+    return 0.5 * erfc(x * _INV_SQRT_2)
+
+
+IN_PLACE = pytest.mark.parametrize("kernel, oracle", [
+    (norm_quantile, oracle_quantile),
+    (norm_sf, _sf_oracle),
+    (simulator.pvalues_from_sample, _clipped_sf),
+], ids=["norm_quantile", "norm_sf", "pvalues_from_sample"])
+
+
+def _kernel_input(kernel, n: int, seed: int) -> np.ndarray:
+    """n arguments in the kernel's domain, led by its edge values."""
+    rng = np.random.default_rng(seed)
+    if kernel is norm_quantile:
+        lead, draws = EDGES, (rng.integers(0, 2 ** 53, n) + 0.5) / 2 ** 53
+    else:
+        lead, draws = _REALS, rng.standard_normal(n) * 4.0
+    return np.concatenate([lead, draws])[:n]
+
+
+@IN_PLACE
+@pytest.mark.parametrize("n", [41, 2 ** 15 - 1, 2 ** 15, 2 ** 15 + 1])
+@pytest.mark.parametrize("scoped", [False, True], ids=["new", "scratch"])
+@pytest.mark.parametrize("layout", ["no out", "out", "aliased", "strided", "empty"])
+def test_kernels_with_out_match_the_oracles(kernel, oracle, n, scoped, layout):
+    arg = _kernel_input(kernel, n, seed=n)
+    if layout == "empty":
+        arg = np.empty((3, 0))
+    elif layout == "strided":
+        # The sampler's z[:, 1:]: every row but its first column.
+        block = np.full((3, n // 3 + 1), -7.0)
+        arg = block[:, 1:]
+        arg[...] = _kernel_input(kernel, arg.size, seed=n).reshape(arg.shape)
+    want = oracle(arg).tobytes()
+    before = arg.copy()
+    with _scratch() if scoped else contextlib.nullcontext():
+        if layout == "no out":
+            got = kernel(arg)
+            assert arg.tobytes() == before.tobytes()
+        else:
+            out = np.empty_like(arg) if layout in ("out", "empty") else arg
+            got = kernel(arg, out=out)
+            assert got is out
+            if out is not arg:
+                assert arg.tobytes() == before.tobytes()
+    assert got.shape == arg.shape and got.tobytes() == want
+    if layout == "strided":
+        assert (block[:, 0] == -7.0).all()
+
+
+@IN_PLACE
+def test_kernels_reuse_their_work_arrays_across_calls(kernel, oracle):
+    # In one scope the buffers serve each later call, at its own size.
+    with _scratch():
+        for i, n in enumerate((2 ** 15, 2 ** 15 + 1, 41, 2 ** 15 - 1, 2 ** 15 + 1)):
+            arg = _kernel_input(kernel, n, seed=100 + i)
+            want = oracle(arg).tobytes()
+            assert kernel(arg).tobytes() == want
+            assert kernel(arg, out=arg).tobytes() == want
+    assert getattr(normal._SCRATCH, "bufs", None) is None
+
+
+def test_scratch_scopes_nest_and_drop_their_buffers():
+    with _scratch():
+        outer = normal._SCRATCH.bufs
+        norm_quantile(np.array([0.0, 0.01, 0.3, 0.9]))
+        assert set(outer) == {"mirror", "pm", "q", "r", "tail", "edge", "clip", "square", "inner"}
+        with _scratch():
+            assert normal._SCRATCH.bufs == {}
+        assert normal._SCRATCH.bufs is outer
+    assert normal._SCRATCH.bufs is None
+
+
+def test_campaign_and_audit_draw_leave_no_buffers_behind():
+    cfg = simulator.SimConfig(m=20, group_sizes=(10, 10), nonnull_counts=(0, 0),
+                              replications=50, seed=4)
+    simulator.run_mc(cfg)
+    assert getattr(normal._SCRATCH, "bufs", None) is None
+    _conditional_pvalue_matrix(cfg, 0.5, tag=1)
+    assert getattr(normal._SCRATCH, "bufs", None) is None
+
+
+def test_kernels_on_two_threads_at_once():
+    # Each thread draws on its own work arrays: a shared set would mix one
+    # thread's block into the other's.  numpy releases the interpreter lock in
+    # its loops, so the two threads do run at once.
+    inputs = {kernel: [_kernel_input(kernel, 2 ** 15, seed=200 + i) for i in range(4)]
+              for kernel in (norm_quantile, norm_sf)}
+    wants = {kernel: [oracle(a).tobytes() for a in inputs[kernel]]
+             for kernel, oracle in ((norm_quantile, oracle_quantile), (norm_sf, _sf_oracle))}
+    barrier = threading.Barrier(4)
+    errors = []
+
+    def work(index):
+        try:
+            with _scratch() if index % 2 else contextlib.nullcontext():
+                barrier.wait(timeout=30)
+                for round_ in range(6):
+                    for kernel in (norm_quantile, norm_sf):
+                        i = (index + round_) % 4
+                        arg = inputs[kernel][i]
+                        copy = arg.copy()
+                        if kernel(arg).tobytes() != wants[kernel][i]:
+                            errors.append((index, kernel.__name__, "new"))
+                        if kernel(copy, out=copy).tobytes() != wants[kernel][i]:
+                            errors.append((index, kernel.__name__, "in place"))
+        except Exception as exc:  # reported below, with the thread that raised it
+            errors.append((index, repr(exc)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+
+
+@pytest.mark.parametrize("kernel", [norm_quantile, norm_sf])
+def test_kernels_refuse_an_unfit_out(kernel):
+    arg = np.full(4, 0.25)
+    read_only = np.empty(4)
+    read_only.flags.writeable = False
+    for out in (np.empty(5), np.empty((4, 1)), np.empty(4, np.float32), read_only, [0.0] * 4):
+        with pytest.raises(ValueError, match=f"{kernel.__name__}: out must be"):
+            kernel(arg, out=out)
+    # A scalar with out takes the array path and fills a 0-d out.
+    out = np.empty(())
+    assert kernel(0.25, out=out) is out
+    assert out.tobytes() == bits(kernel(0.25))
+
+
+# ---------------------------------------------------------------------------
 # re-keyed Philox
 
 @settings(max_examples=60, deadline=None)
@@ -728,6 +874,32 @@ def test_threshold_cache_stays_bounded_and_read_only():
     assert thresholds.tobytes() == (0.05 * np.arange(1, 21) / 20).tobytes()
     with pytest.raises(ValueError):
         thresholds[0] = 1.0
+
+
+@pytest.mark.parametrize("procedure", [
+    lambda s: bh_step_up(s, 0.2),
+    lambda s: storey(s, 0.5, 0.2),
+    lambda s: gbh1(GroupedPValues.from_labels(s, [0, 0, 1, 1, 1]), 0.5, 0.2),
+], ids=["bh_step_up", "storey", "gbh1"])
+def test_step_up_results_are_the_dataclass_instances(procedure):
+    # The step-up core fills the instance's __dict__ instead of calling the
+    # frozen dataclass's __init__; the result must be indistinguishable.
+    scores = np.array([0.01, 0.9, 0.04, 0.3, 0.02])
+    got = procedure(scores)
+    want = RejectionResult(rejected=got.rejected, k_star=got.k_star,
+                           threshold=got.threshold, weighted_pvalues=got.weighted_pvalues)
+    assert type(got) is RejectionResult
+    assert vars(got).keys() == vars(want).keys()
+    assert repr(got) == repr(want)
+    assert got.k_star > 0 and type(got.k_star) is int and type(got.threshold) is float
+    # eq=False: equality is identity, and the identity hash stays.
+    assert got == got and got != want and hash(got) == object.__hash__(got)
+    for field in ("rejected", "k_star", "threshold", "weighted_pvalues", "other"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(got, field, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(got, field)
+    assert repr(got) == repr(want)
 
 
 def test_procedures_match_oracles_on_fixed_cases():

@@ -141,6 +141,26 @@ def test_config_accepts_numpy_integer_group_entries():
     assert cfg.group_sizes == (2, 2) and cfg.nonnull_counts == (1, 0)
     assert all(type(n) is int for n in cfg.group_sizes + cfg.nonnull_counts)
 
+@pytest.mark.parametrize("field, value, bad", [
+    ("seed", True, True),
+    ("m", False, False),
+    ("replications", np.True_, np.True_),
+    ("group_sizes", (True, 3), True),
+    ("nonnull_counts", (0, False), False),
+    ("effect_mu", True, True),
+    ("effect_mu", (1.0, True), True),
+    ("rho", False, False),
+    ("lam", np.False_, np.False_),
+    ("alpha", True, True),
+])
+def test_config_refuses_a_bool_as_a_number(field, value, bad):
+    # bool subclasses int: operator.index(True) is 1 and False passes 0 <= rho.
+    kwargs = dict(m=4, group_sizes=(1, 3), nonnull_counts=(0, 1), replications=10)
+    with pytest.raises(ConfigError) as exc:
+        SimConfig(**{**kwargs, field: value})
+    assert str(exc.value) == f"{field}: {bad!r} is a bool, not a number"
+
+
 def test_config_element_budget_bounds_replications_and_m():
     # Building a config allocates nothing, so the largest sizes it accepts
     # are built here too.
