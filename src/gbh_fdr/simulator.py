@@ -7,13 +7,16 @@ results are bit-identical for a fixed seed no matter how replications are
 split into sampling blocks.  A block stacks its replications' uniforms into
 one matrix and pushes it through the quantile in one call; the procedure
 still runs once per replication, in one thread and in index order.  A
-campaign owns one words block and one float block and builds every sampling
-block in them, from the Philox words to the clipped p-values, in place.
+campaign builds every sampling block in one float block, from the uniforms to
+the clipped p-values, in place.
 
-Uniforms are drawn as lattice midpoints (k + 0.5)/2^53 and pushed through the
-package quantile, so normal variates inherit the audited inverse-CDF path and
-never hit the 0/1 endpoints.  P-values are clipped to the open unit interval
-at the representable edges (1e-300 and 1 - 2^-53).
+Uniforms are lattice midpoints (k + 0.5)/2^53, k = word >> 11 of a Philox
+word: Generator.random() gives k * 2^-53, and half a step added to it rounds
+exactly as (k + 0.5)/2^53 does, the two differing by a power-of-two scale.
+They are pushed through the package quantile, so normal variates inherit the
+audited inverse-CDF path and never hit the 0/1 endpoints.  P-values are
+clipped to the open unit interval at the representable edges (1e-300 and
+1 - 2^-53).
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .bound import BoundInput, _finite_x0, fdr_bound, in_theorem_domain
-from .normal import _scratch, norm_quantile, norm_sf
+from .normal import _scratch, _work, norm_quantile, norm_sf
 from .procedures import GroupedPValues, RejectionResult, bh_step_up, gbh1, storey
 
 PROCEDURES = ("gbh1", "storey", "bh")
@@ -39,7 +42,8 @@ DEFAULTS_SOURCE = "builtin-defaults"
 
 _P_FLOOR = 1e-300
 _P_CEIL = float(np.nextafter(1.0, 0.0))
-_U_DENOM = float(2 ** 53)
+# Half a step of the 2^-53 lattice that Generator.random() draws on.
+_HALF_STEP = 2.0 ** -54
 # Cap on the uniforms one sampled block holds (m + 1 per replication, at
 # least one replication): 256 KiB per float64 array of the block.
 _BLOCK_ELEMENTS = 2 ** 15
@@ -58,6 +62,14 @@ def _not_bool(name: str, value):
     if isinstance(value, (bool, np.bool_)):
         raise ConfigError(f"{name}: {value!r} is a bool, not a number")
     return value
+
+
+def _integer(name: str, value) -> int:
+    """value as an int; a bool or a non-integer raises ConfigError naming name."""
+    try:
+        return operator.index(_not_bool(name, value))
+    except TypeError:
+        raise ConfigError(f"{name}={value!r} must be an integer") from None
 
 
 @dataclass(frozen=True)
@@ -95,10 +107,7 @@ class SimConfig:
         else:
             object.__setattr__(self, "effect_mu", float(_not_bool("effect_mu", self.effect_mu)))
         for name in ("m", "replications", "seed"):
-            try:
-                object.__setattr__(self, name, operator.index(_not_bool(name, getattr(self, name))))
-            except TypeError:
-                raise ConfigError(f"{name}={getattr(self, name)!r} must be an integer") from None
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         for name in ("rho", "lam", "alpha"):
             _not_bool(name, getattr(self, name))
         if self.m < 1:
@@ -173,27 +182,14 @@ class SimSummary:
     config: SimConfig
 
 
-def _lattice(words: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Raw Philox words -> lattice-midpoint uniforms (k + 0.5)/2^53, written
-    into out (a float array of words' shape) and returned; words is
-    overwritten with k.  k is the word shifted right by 11, which is exactly
-    what Generator.integers(0, 2**53) returns: with a power-of-two range its
-    bounded draw never rejects a word."""
-    np.right_shift(words, np.uint64(11), out=words)
-    np.copyto(out, words)
-    out += 0.5
-    out /= _U_DENOM
-    return out
-
-
 def _key(seed: int, index: int) -> np.ndarray:
     """The Philox key of the stream (seed, index), each taken modulo 2^64."""
     return np.array([int(seed) % (2 ** 64), int(index) % (2 ** 64)], dtype=np.uint64)
 
 
-def _block_words(seed: int, lo: int, hi: int, width: int, out=None) -> np.ndarray:
-    """(hi - lo, width) raw Philox words, in out (a uint64 array of that
-    shape) or a new array; row r - lo starts the stream keyed (seed, r).
+def _block_uniforms(seed: int, lo: int, out: np.ndarray) -> np.ndarray:
+    """Fill the float matrix out, (rows, width), with lattice uniforms and
+    return it; row i holds the start of the stream keyed (seed, lo + i).
 
     One Philox serves the whole block.  For each later row it is re-keyed by
     assigning it the state a fresh Philox(key=[seed, r]) starts in: counter
@@ -203,19 +199,19 @@ def _block_words(seed: int, lo: int, hi: int, width: int, out=None) -> np.ndarra
     takes in about half the time of uint64 arrays.
     """
     bitgen = np.random.Philox(key=_key(seed, lo))
-    words = np.empty((hi - lo, width), dtype=np.uint64) if out is None else out
-    words[0] = bitgen.random_raw(width)
-    if hi - lo > 1:
-        key = [int(seed) % (2 ** 64), 0]
-        fresh = {"bit_generator": "Philox",
-                 "state": {"counter": [0, 0, 0, 0], "key": key},
-                 "buffer": [0, 0, 0, 0], "buffer_pos": 4,
-                 "has_uint32": 0, "uinteger": 0}
-        for i in range(1, hi - lo):
+    gen = np.random.Generator(bitgen)
+    key = [int(seed) % (2 ** 64), 0]
+    fresh = {"bit_generator": "Philox",
+             "state": {"counter": [0, 0, 0, 0], "key": key},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0}
+    for i, row in enumerate(out):
+        if i:
             key[1] = (lo + i) % (2 ** 64)
             bitgen.state = fresh
-            words[i] = bitgen.random_raw(width)
-    return words
+        gen.random(out=row)
+    out += _HALF_STEP
+    return out
 
 
 def stream_uniforms(seed: int, index: int, out: np.ndarray):
@@ -223,14 +219,15 @@ def stream_uniforms(seed: int, index: int, out: np.ndarray):
     that the one Philox stream keyed (seed, index) gives row by row, in
     blocks of _BLOCK_ELEMENTS // width rows (at least one), and yield each
     block of out once it is filled: the draw behind the audits' pre-sampled
-    p-value matrices.  Each random_raw call continues the stream, so the
-    blocks hold the words of one draw of rows x width."""
-    bitgen = np.random.Philox(key=_key(seed, index))
+    p-value matrices.  Each random call continues the stream, so the blocks
+    hold the uniforms of one draw of rows x width."""
+    gen = np.random.Generator(np.random.Philox(key=_key(seed, index)))
     rows, width = out.shape
     step = max(1, _BLOCK_ELEMENTS // width)
     for start in range(0, rows, step):
-        block = out[start:start + step]
-        yield _lattice(bitgen.random_raw(block.size).reshape(block.shape), block)
+        block = gen.random(out=out[start:start + step])
+        block += _HALF_STEP
+        yield block
 
 
 def _mix(config: SimConfig, z: np.ndarray, x0) -> np.ndarray:
@@ -243,24 +240,20 @@ def _mix(config: SimConfig, z: np.ndarray, x0) -> np.ndarray:
     return z
 
 
-def _sample_block(config: SimConfig, lo: int, hi: int, x0: Optional[float] = None,
-                  words: Optional[np.ndarray] = None,
-                  block: Optional[np.ndarray] = None) -> np.ndarray:
+def _sample_block(config: SimConfig, lo: int, hi: int, x0: Optional[float] = None) -> np.ndarray:
     """(hi - lo, m) matrix of y for replications lo..hi-1.
 
     Row r - lo holds replication r's draws from its own (seed, r) stream, so
     a row does not depend on which block it was sampled in.  With x0 None the
     stream's first draw is X0 (m + 1 draws per row); otherwise the shared
     factor is pinned at x0 (m draws).  One quantile call covers the block.
-    The block is built in place at the front of words (uint64) and block
-    (float64), flat buffers of at least (hi - lo) * (m + 1) elements, or in
-    new ones; y is a view of block.
+    The block is built in place in one float array, the work array "block"
+    of normal._work: a new one outside _scratch(), and inside it the scope's
+    own, so that the y returned is overwritten by the next call in the scope.
+    y is a view of that array.
     """
     width = config.m + 1 if x0 is None else config.m
-    n = (hi - lo) * width
-    words = (np.empty(n, np.uint64) if words is None else words[:n]).reshape(hi - lo, width)
-    block = (np.empty(n) if block is None else block[:n]).reshape(hi - lo, width)
-    z = _lattice(_block_words(config.seed, lo, hi, width, words), block)
+    z = _block_uniforms(config.seed, lo, _work("block", (hi - lo, width)))
     norm_quantile(z, out=z)
     if x0 is None:
         x0, z = z[:, :1], z[:, 1:]
@@ -268,13 +261,17 @@ def _sample_block(config: SimConfig, lo: int, hi: int, x0: Optional[float] = Non
 
 
 def generate_sample(config: SimConfig, rep_index: int) -> tuple:
-    """(y, is_null) for one replication; X0 is the substream's first draw."""
-    return _sample_block(config, rep_index, rep_index + 1)[0], config.null_mask()
+    """(y, is_null) for one replication; X0 is the substream's first draw.
+    rep_index is an integer, read modulo 2^64 as _key reads it; a bool or a
+    non-integer raises ConfigError."""
+    r = _integer("rep_index", rep_index)
+    return _sample_block(config, r, r + 1)[0], config.null_mask()
 
 
 def generate_sample_conditional(config: SimConfig, rep_index: int, x0: float) -> tuple:
     """Same model with the shared factor pinned at x0 (m draws, no X0 draw)."""
-    return _sample_block(config, rep_index, rep_index + 1, _finite_x0(x0))[0], config.null_mask()
+    r = _integer("rep_index", rep_index)
+    return _sample_block(config, r, r + 1, _finite_x0(x0))[0], config.null_mask()
 
 
 def pvalues_from_sample(y, out=None) -> np.ndarray:
@@ -329,14 +326,12 @@ def _mc_loop(config: SimConfig, x0: Optional[float] = None) -> SimSummary:
     fdp = np.zeros(reps)
     tpp = np.zeros(reps)
     rows = max(1, _BLOCK_ELEMENTS // (config.m + 1))
-    # Every block is built in these two buffers, and the normal kernels keep
-    # their work arrays for the campaign, so no block allocates its own.
-    words = np.empty(rows * (config.m + 1), np.uint64)
-    block = np.empty(rows * (config.m + 1))
+    # The float block and the normal kernels' work arrays live for the
+    # campaign, so no block allocates its own.
     with _scratch():
         for start in range(0, reps, rows):
             stop = min(start + rows, reps)
-            y = _sample_block(config, start, stop, x0, words, block)
+            y = _sample_block(config, start, stop, x0)
             p = pvalues_from_sample(y, out=y)
             for r in range(start, stop):
                 res = _apply_procedure(config, partition, p[r - start])

@@ -728,7 +728,7 @@ def test_verify_lemmas_one_replication_exits_2_naming_the_count(capsys, tmp_path
 def _no_draws(monkeypatch):
     def trap(*args, **kwargs):
         raise AssertionError("an over-budget size reached the sampler")
-    monkeypatch.setattr(simulator, "_block_words", trap)
+    monkeypatch.setattr(simulator, "_block_uniforms", trap)
     monkeypatch.setattr(verify, "stream_uniforms", trap)
 
 @pytest.mark.parametrize("flags, message", [

@@ -742,11 +742,38 @@ def test_kernels_refuse_an_unfit_out(kernel):
     width=st.sampled_from((1, 3, 4, 5, 201)),
 )
 def test_rekeyed_rows_equal_fresh_philox(seed, lo, count, width):
-    words = simulator._block_words(seed, lo, lo + count, width)
-    assert words.shape == (count, width)
+    out = np.empty((count, width))
+    assert simulator._block_uniforms(seed, lo, out) is out
     for i in range(count):
         key = np.array([seed % 2 ** 64, (lo + i) % 2 ** 64], dtype=np.uint64)
-        assert words[i].tobytes() == np.random.Philox(key=key).random_raw(width).tobytes()
+        k = np.random.Generator(np.random.Philox(key=key)).integers(0, 2 ** 53, width)
+        assert out[i].tobytes() == ((k + 0.5) / 2 ** 53).tobytes()
+
+
+# The lattice rests on two facts: Generator.random() on a Philox is
+# (word >> 11) * 2^-53 of the words random_raw gives, and half a step added to
+# that rounds as (k + 0.5) / 2^53 does.  A numpy that changed either fails here.
+
+_EDGE_WORDS = (0, 1, 2 ** 11 - 1, 2 ** 11, 2 ** 63, 2 ** 64 - 1,
+               2 ** 52 << 11, (2 ** 52 + 1) << 11, (2 ** 53 - 1) << 11)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=2 ** 64 - 1), max_size=50))
+def test_half_step_gives_the_lattice_midpoint(drawn):
+    # k = 2^52 is the first k where k + 0.5 has to round.
+    words = np.array(_EDGE_WORDS + tuple(drawn), dtype=np.uint64)
+    k = words >> np.uint64(11)
+    got = k.astype(float) * 2.0 ** -53 + simulator._HALF_STEP
+    assert got.tobytes() == ((k.astype(float) + 0.5) / 2 ** 53).tobytes()
+
+
+@pytest.mark.parametrize("key", [(0, 0), (20260822, 1), (2 ** 64 - 1, 2 ** 63)])
+def test_generator_random_is_the_shifted_raw_word(key):
+    key = np.array(key, dtype=np.uint64)
+    words = np.random.Philox(key=key).random_raw(1001)
+    got = np.random.Generator(np.random.Philox(key=key)).random(1001)
+    assert got.tobytes() == ((words >> np.uint64(11)).astype(float) * 2.0 ** -53).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,18 @@
-"""The README's library quick start runs as written, so that a renamed or
-removed public name, or a changed signature, fails here instead of leaving
-the README silently wrong."""
+"""The README's library quick start runs as written, and its command-line
+examples parse, so that a renamed or removed public name, flag or
+subcommand, or a changed signature, fails here instead of leaving the README
+silently wrong."""
 
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+from gbh_fdr import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -24,3 +30,42 @@ def test_readme_quick_start_runs(tmp_path):
     done = subprocess.run([sys.executable, "-W", "error", "-c", quick_start_block()],
                           cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def command_block() -> str:
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```sh\n(.*?)```", section, flags=re.S)
+    assert len(blocks) == 1, "expected one sh block under 'Command line'"
+    return blocks[0]
+
+
+def unparsed_commands(block: str) -> tuple:
+    """(commands, refused): the gbh-fdr command lines of block, and those
+    that the CLI's parser refuses."""
+    commands, refused = [], []
+    for line in block.splitlines():
+        if "gbh-fdr" not in line:
+            continue
+        words = shlex.split(line, comments=True)
+        commands.append(line)
+        try:
+            cli.build_parser().parse_args(words[words.index("gbh-fdr") + 1:])
+        except SystemExit:
+            refused.append(line)
+    return commands, refused
+
+
+def test_readme_commands_parse():
+    commands, refused = unparsed_commands(command_block())
+    assert len(commands) >= 8
+    assert refused == []
+
+
+@pytest.mark.parametrize("flag, typo", [("--lambda", "--lamda"), ("--out", "--output"),
+                                        ("--config", "--cfg"), ("--section", "--sections")])
+def test_readme_command_check_catches_a_misspelled_flag(flag, typo):
+    block = command_block()
+    assert flag in block
+    _, refused = unparsed_commands(block.replace(flag, typo, 1))
+    assert len(refused) == 1 and typo in refused[0]

@@ -205,6 +205,29 @@ def test_seed_changes_samples():
     y2, _ = generate_sample(small_config(seed=2), 0)
     assert not np.array_equal(y1, y2)
 
+@pytest.mark.parametrize("rep_index", [True, False, np.bool_(True), 1.5, np.float64(1.9),
+                                       1.0, "1", None])
+def test_generate_sample_refuses_a_non_integer_rep_index_before_drawing(monkeypatch,
+                                                                        rep_index):
+    # True used to draw replication 1; 1.5 and "1" failed inside numpy.
+    def trap(*_):
+        raise AssertionError("a non-integer rep_index reached the sampler")
+    monkeypatch.setattr("gbh_fdr.simulator._block_uniforms", trap)
+    cfg = small_config()
+    for draw in (lambda: generate_sample(cfg, rep_index),
+                 lambda: generate_sample_conditional(cfg, rep_index, 0.5)):
+        with pytest.raises(ConfigError, match=r"^rep_index"):
+            draw()
+
+def test_generate_sample_reads_an_integer_rep_index_modulo_2_64():
+    cfg = small_config()
+    one = generate_sample(cfg, 1)[0].tobytes()
+    assert generate_sample(cfg, np.int64(1))[0].tobytes() == one
+    assert generate_sample(cfg, 2 ** 64 + 1)[0].tobytes() == one
+    assert generate_sample(cfg, -1)[0].tobytes() == generate_sample(cfg, 2 ** 64 - 1)[0].tobytes()
+    assert generate_sample_conditional(cfg, np.uint8(1), 0.5)[0].tobytes() == \
+        generate_sample_conditional(cfg, 1, 0.5)[0].tobytes()
+
 def test_run_mc_thread_count_invariant():
     cfg = small_config(replications=400)
     s1 = run_mc(cfg, threads=1)
@@ -351,7 +374,7 @@ def test_conditional_deterministic_and_unbounded():
 def test_conditional_rejects_a_non_finite_x0_before_drawing(monkeypatch, rho, x0):
     def trap(*_):
         raise AssertionError("a non-finite x0 reached the sampler")
-    monkeypatch.setattr("gbh_fdr.simulator._block_words", trap)
+    monkeypatch.setattr("gbh_fdr.simulator._block_uniforms", trap)
     cfg = small_config(rho=rho, replications=10)
     for run in (lambda: run_mc_conditional(cfg, x0),
                 lambda: generate_sample_conditional(cfg, 0, x0)):
