@@ -6,12 +6,10 @@ from .bound import (BoundBreakdown, BoundInput, DomainError, ab_from_rho,
                     bound_curve, exact_p_conditional, fdr_bound,
                     fdr_bound_aform, in_theorem_domain, integrals_closed,
                     m_factor, m_factor_ab, p_lower, rho_max)
-from .normal import norm_cdf, norm_quantile, norm_sf, phi, tail_lower_bound
+from .normal import norm_cdf, norm_quantile, norm_sf, phi
 from .procedures import (GBHWeights, GroupedPValues, RejectionResult,
-                         bh_step_up, gbh1, gbh1_weights, gbh1_weights_loo,
-                         step_up_oracle, storey)
-from .simulator import (ConfigError, SimConfig, SimSummary,
-                        false_discovery_proportion, generate_sample,
+                         bh_step_up, gbh1, gbh1_weights, gbh1_weights_loo, storey)
+from .simulator import (ConfigError, SimConfig, SimSummary, generate_sample,
                         generate_sample_conditional, pvalues_from_sample,
                         run_mc, run_mc_conditional)
 from .verify import (QuadratureError, SectionResult, VerifyReport,
@@ -23,12 +21,12 @@ __all__ = [
     "bound_curve", "exact_p_conditional", "fdr_bound", "fdr_bound_aform",
     "in_theorem_domain", "integrals_closed", "m_factor", "m_factor_ab",
     "p_lower", "rho_max",
-    "norm_cdf", "norm_quantile", "norm_sf", "phi", "tail_lower_bound",
+    "norm_cdf", "norm_quantile", "norm_sf", "phi",
     "GBHWeights", "GroupedPValues", "RejectionResult", "bh_step_up", "gbh1",
-    "gbh1_weights", "gbh1_weights_loo", "step_up_oracle", "storey",
-    "ConfigError", "SimConfig", "SimSummary", "false_discovery_proportion",
-    "generate_sample", "generate_sample_conditional", "pvalues_from_sample",
-    "run_mc", "run_mc_conditional",
+    "gbh1_weights", "gbh1_weights_loo", "storey",
+    "ConfigError", "SimConfig", "SimSummary", "generate_sample",
+    "generate_sample_conditional", "pvalues_from_sample", "run_mc",
+    "run_mc_conditional",
     "QuadratureError", "SectionResult", "VerifyReport", "check_loo_expectation",
     "check_rejection_expectation", "f_ratio", "mvt_residual", "quad_integrals",
     "sup_f",

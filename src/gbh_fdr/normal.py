@@ -360,14 +360,3 @@ def _quantile_scalar(p: float) -> float:
             x -= (0.5 * _erfc_scalar(-x * _INV_SQRT_2) - pm) / dens
     return -x if mirror else x
 
-
-def tail_lower_bound(x):
-    """Strict lower bound 2*phi(x)/(sqrt(4+x^2)+x) on the upper tail, x >= 0.
-
-    Sharper than the plain phi(x)/x bound near the origin; rejects x < 0.
-    """
-    arr = np.asarray(x, dtype=float)
-    if np.isnan(arr).any() or (arr < 0.0).any():
-        raise ValueError("tail_lower_bound: x must be >= 0")
-    out = 2.0 * phi(arr) / (np.sqrt(4.0 + arr * arr) + arr)
-    return float(out) if _scalar_in(x) else out

@@ -208,25 +208,6 @@ def bh_step_up(scores, alpha: float) -> RejectionResult:
     return _step_up(s, alpha)
 
 
-def step_up_oracle(scores, alpha: float) -> RejectionResult:
-    """Brute-force reference for bh_step_up.
-
-    Walks k = m, m-1, ..., 1 and takes the first k whose threshold k*alpha/m
-    already covers at least k scores (a counting restatement of the sorted
-    condition; it never sorts, so it shares no code path with bh_step_up).
-    """
-    s = _validate_scores(scores)
-    _validate_alpha(alpha)
-    m = s.size
-    for k in range(m, 0, -1):
-        t = k * alpha / m
-        if int(np.count_nonzero(s <= t)) >= k:
-            rejected = tuple(int(i) for i in np.nonzero(s <= t)[0])
-            return RejectionResult(rejected=rejected, k_star=k, threshold=t,
-                                   weighted_pvalues=s)
-    return RejectionResult(rejected=(), k_star=0, threshold=0.0, weighted_pvalues=s)
-
-
 def _gbh1_weights(gp: GroupedPValues, r_per_group, r_total: int, lam: float) -> list:
     """w_j = (n_j - R_j + 1)(R + g - 1)/(m(1-lambda)R_j) at the given counts,
     +inf where R_j = 0, as a Python list."""
@@ -266,10 +247,10 @@ def gbh1_weights_loo(gp: GroupedPValues, lam: float, k: int) -> GBHWeights:
     group is the quantity the domination and monotonicity results speak to.
     """
     _validate_lambda(lam)
-    try:
-        k = operator.index(k)
-    except TypeError:
-        raise ValueError(f"index k={k!r} must be an integer") from None
+    # Checked, not cast: operator.index would read True as 1.
+    if isinstance(k, bool) or not hasattr(type(k), "__index__"):
+        raise ValueError(f"index k={k!r} must be an integer")
+    k = operator.index(k)
     if not (0 <= k < gp.m):
         raise ValueError(f"index k={k} outside range(0, {gp.m})")
     below = gp.pvalues <= lam

@@ -6,9 +6,11 @@ replication owns a counter-based RNG substream keyed by (seed, rep_index), so
 results are bit-identical for a fixed seed no matter how replications are
 split into sampling blocks.  A block stacks its replications' uniforms into
 one matrix and pushes it through the quantile in one call; the procedure
-still runs once per replication, in one thread and in index order.  A
-campaign builds every sampling block in one float block, from the uniforms to
-the clipped p-values, in place.
+still runs once per replication, in one thread and in index order, and
+leaves two counts, its rejections R and the true nulls V among them, which
+one reducer turns into the summary after the loop.  A campaign builds every
+sampling block in one float block, from the uniforms to the clipped
+p-values, in place.
 
 Uniforms are lattice midpoints (k + 0.5)/2^53, k = word >> 11 of a Philox
 word: Generator.random() gives k * 2^-53, and half a step added to it rounds
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import numbers
 import operator
 import os
 from dataclasses import dataclass, replace
@@ -72,6 +75,14 @@ def _integer(name: str, value) -> int:
         raise ConfigError(f"{name}={value!r} must be an integer") from None
 
 
+def _real(name: str, value) -> float:
+    """value as a float; a bool or anything but a real number (a string, a
+    numpy array) raises ConfigError naming name."""
+    if not isinstance(_not_bool(name, value), numbers.Real):
+        raise ConfigError(f"{name}={value!r} must be a real number")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """One Monte Carlo campaign.
@@ -103,13 +114,13 @@ class SimConfig:
                 raise ConfigError(f"{name}={value!r} must be a sequence of integers") from None
         if isinstance(self.effect_mu, (tuple, list, np.ndarray)):
             object.__setattr__(self, "effect_mu",
-                               tuple(float(_not_bool("effect_mu", v)) for v in self.effect_mu))
+                               tuple(_real("effect_mu", v) for v in self.effect_mu))
         else:
-            object.__setattr__(self, "effect_mu", float(_not_bool("effect_mu", self.effect_mu)))
+            object.__setattr__(self, "effect_mu", _real("effect_mu", self.effect_mu))
         for name in ("m", "replications", "seed"):
             object.__setattr__(self, name, _integer(name, getattr(self, name)))
         for name in ("rho", "lam", "alpha"):
-            _not_bool(name, getattr(self, name))
+            object.__setattr__(self, name, _real(name, getattr(self, name)))
         if self.m < 1:
             raise ConfigError(f"m={self.m} must be >= 1")
         if self.m + 1 > _MAX_ARRAY_ELEMENTS:
@@ -284,15 +295,6 @@ def pvalues_from_sample(y, out=None) -> np.ndarray:
     return np.clip(p, _P_FLOOR, _P_CEIL, out=p if isinstance(p, np.ndarray) else None)
 
 
-def false_discovery_proportion(result: RejectionResult, is_null) -> float:
-    """V/R with the 0/0 := 0 convention."""
-    if result.k_star == 0:
-        return 0.0
-    is_null = np.asarray(is_null, dtype=bool)
-    v = int(is_null[list(result.rejected)].sum())
-    return v / result.k_star
-
-
 def _apply_procedure(config: SimConfig, partition: GroupedPValues,
                      p: np.ndarray) -> RejectionResult:
     if config.procedure == "gbh1":
@@ -316,15 +318,29 @@ def mean_and_se(values: np.ndarray) -> tuple:
     return float(values.mean()), float(values.std(ddof=1) / math.sqrt(values.size))
 
 
+def _summarize(config: SimConfig, k_star: np.ndarray, false: np.ndarray,
+               bound_value: Optional[float]) -> SimSummary:
+    """The campaign's summary from its per-replication counts: k_star holds
+    R, the rejections, and false holds V, the true nulls among them.  FDP is
+    V/R with 0/0 := 0; TPP, (R - V)/n_alt, only when there are alternatives."""
+    fdp = np.divide(false, k_star, out=np.zeros(k_star.size), where=k_star > 0)
+    fdr_hat, fdr_se = mean_and_se(fdp)
+    n_alt = config.n_alternatives()
+    power_hat, power_se = mean_and_se((k_star - false) / n_alt) if n_alt else (None, None)
+    return SimSummary(fdr_hat=fdr_hat, fdr_se=fdr_se, power_hat=power_hat,
+                      power_se=power_se, bound_value=bound_value,
+                      replications_run=k_star.size, config=config)
+
+
 def _mc_loop(config: SimConfig, x0: Optional[float] = None) -> SimSummary:
     reps = config.replications
     # The groups are fixed for the campaign: check the partition once, then
     # give each replication its p-values through with_pvalues.
     partition = GroupedPValues(np.ones(config.m), config.groups())
-    is_null = config.null_mask()
-    n_alt = config.n_alternatives()
-    fdp = np.zeros(reps)
-    tpp = np.zeros(reps)
+    # A list, indexed by the tuple of rejected indices, builds no array.
+    is_null = config.null_mask().tolist()
+    k_star = np.zeros(reps, dtype=np.int64)
+    false = np.zeros(reps, dtype=np.int64)
     rows = max(1, _BLOCK_ELEMENTS // (config.m + 1))
     # The float block and the normal kernels' work arrays live for the
     # campaign, so no block allocates its own.
@@ -336,15 +352,9 @@ def _mc_loop(config: SimConfig, x0: Optional[float] = None) -> SimSummary:
             for r in range(start, stop):
                 res = _apply_procedure(config, partition, p[r - start])
                 if res.k_star > 0:
-                    v = int(np.count_nonzero(is_null.take(res.rejected)))
-                    fdp[r] = v / res.k_star
-                    tpp[r] = (res.k_star - v) / max(n_alt, 1)
-    fdr_hat, fdr_se = mean_and_se(fdp)
-    power_hat, power_se = mean_and_se(tpp) if n_alt else (None, None)
-    bound_value = _bound_or_none(config) if x0 is None else None
-    return SimSummary(fdr_hat=fdr_hat, fdr_se=fdr_se, power_hat=power_hat,
-                      power_se=power_se, bound_value=bound_value,
-                      replications_run=reps, config=config)
+                    k_star[r] = res.k_star
+                    false[r] = sum(map(is_null.__getitem__, res.rejected))
+    return _summarize(config, k_star, false, _bound_or_none(config) if x0 is None else None)
 
 
 def run_mc(config: SimConfig, threads: int = 1) -> SimSummary:

@@ -30,7 +30,7 @@ from .bound import (DomainError, _finite_x0, ab_from_rho, exact_p_conditional,
 # phi is unused here but stays: perfbench/tracing.py patches verify.phi.
 from .normal import SQRT_2PI, _scratch, norm_cdf, norm_quantile, phi
 from .procedures import GroupedPValues, gbh1
-from .simulator import (_MAX_ARRAY_ELEMENTS, SimConfig, _mix, mean_and_se,
+from .simulator import (_MAX_ARRAY_ELEMENTS, SimConfig, _integer, _mix, mean_and_se,
                         pvalues_from_sample, stream_uniforms)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -231,15 +231,16 @@ def check_rejection_expectation(config: SimConfig, x0: float, c: float) -> Verif
     if nulls.size == 0:
         raise ValueError("config must contain at least one null hypothesis")
     k = int(nulls[0])
+    # x0 is refused before rho, and both before any drawing.
+    _finite_x0(x0)
+    cap = c * m_factor(config.rho, x0)
     pmat = _conditional_pvalue_matrix(config, x0, tag=1)
     partition = GroupedPValues(pmat[0], config.groups())
-    terms = np.zeros(config.replications)
+    k_star = np.zeros(config.replications, dtype=np.int64)
     for r in range(config.replications):
-        res = gbh1(partition.with_pvalues(pmat[r]), config.lam, config.alpha)
-        if res.k_star > 0 and pmat[r, k] <= c * res.k_star:
-            terms[r] = 1.0 / res.k_star
-    est, se = mean_and_se(terms)
-    cap = c * m_factor(config.rho, x0)
+        k_star[r] = gbh1(partition.with_pvalues(pmat[r]), config.lam, config.alpha).k_star
+    counted = (k_star > 0) & (pmat[:, k] <= c * k_star)
+    est, se = mean_and_se(np.divide(1.0, k_star, out=np.zeros(k_star.size), where=counted))
     return VerifyReport(
         section="lemma_expect_rejections",
         grid=[(config.rho, x0, c)],
@@ -265,6 +266,7 @@ def check_loo_expectation(config: SimConfig, x0: float, h_choice: str = "paper_h
     """
     if h_choice not in ("paper_h", "constant_one"):
         raise ValueError(f"unknown h_choice {h_choice!r}")
+    group_index = _integer("group_index", group_index)
     if not (0 <= group_index < len(config.group_sizes)):
         raise ValueError("group_index out of range")
     pmat = _conditional_pvalue_matrix(config, x0, tag=2)

@@ -1,0 +1,42 @@
+"""Reference implementations that the tests compare the package against.
+
+A test helper, not part of the package: each function here is a slow or
+independent restatement of something the package computes, kept only so
+that the tests can check the package's answer against it.
+"""
+
+import numpy as np
+
+from gbh_fdr.normal import _scalar_in, phi
+from gbh_fdr.procedures import RejectionResult, _validate_alpha, _validate_scores
+
+
+def step_up_oracle(scores, alpha: float) -> RejectionResult:
+    """Brute-force reference for bh_step_up.
+
+    Walks k = m, m-1, ..., 1 and takes the first k whose threshold k*alpha/m
+    already covers at least k scores (a counting restatement of the sorted
+    condition; it never sorts, so it shares no code path with bh_step_up).
+    """
+    s = _validate_scores(scores)
+    _validate_alpha(alpha)
+    m = s.size
+    for k in range(m, 0, -1):
+        t = k * alpha / m
+        if int(np.count_nonzero(s <= t)) >= k:
+            rejected = tuple(int(i) for i in np.nonzero(s <= t)[0])
+            return RejectionResult(rejected=rejected, k_star=k, threshold=t,
+                                   weighted_pvalues=s)
+    return RejectionResult(rejected=(), k_star=0, threshold=0.0, weighted_pvalues=s)
+
+
+def tail_lower_bound(x):
+    """Strict lower bound 2*phi(x)/(sqrt(4+x^2)+x) on the upper tail, x >= 0.
+
+    Sharper than the plain phi(x)/x bound near the origin; rejects x < 0.
+    """
+    arr = np.asarray(x, dtype=float)
+    if np.isnan(arr).any() or (arr < 0.0).any():
+        raise ValueError("tail_lower_bound: x must be >= 0")
+    out = 2.0 * phi(arr) / (np.sqrt(4.0 + arr * arr) + arr)
+    return float(out) if _scalar_in(x) else out

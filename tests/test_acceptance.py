@@ -34,12 +34,11 @@ from gbh_fdr import (
     quad_integrals,
     rho_max,
     run_mc,
-    step_up_oracle,
     storey,
-    tail_lower_bound,
 )
 from gbh_fdr.simulator import generate_sample_conditional, pvalues_from_sample
 from gbh_fdr.verify import INTEGRAL_AS, run_m_bound_section, run_mvt_section
+from oracles import step_up_oracle, tail_lower_bound
 
 
 @contextmanager

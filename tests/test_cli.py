@@ -22,7 +22,7 @@ from pathlib import Path
 import pytest
 
 import gbh_fdr
-from gbh_fdr import cli, simulator, verify
+from gbh_fdr import SimConfig, check_rejection_expectation, cli, simulator, verify
 from gbh_fdr.cli import EXIT_INPUT, EXIT_IO, EXIT_OK, EXIT_VERIFY_FAIL, main
 from gbh_fdr.simulator import LOG_HEADER, PROCEDURES
 
@@ -929,12 +929,16 @@ def test_scalar_subcommands_never_import_scipy(tmp_path):
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
-def test_benchmark_tracer_patches_and_restores_every_name(capsys):
-    # perfbench/tracing.py patches names where the package looks them up;
-    # a rename or a dropped import there breaks `perfbench/run.py --trace 1`.
+def _load_tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+def test_benchmark_tracer_patches_and_restores_every_name(capsys):
+    # perfbench/tracing.py patches names where the package looks them up;
+    # a rename or a dropped import there breaks `perfbench/run.py --trace 1`.
+    tracing = _load_tracing()
     originals = {(mod, attr): getattr(importlib.import_module(mod), attr)
                  for mod, attr, _ in tracing.PATCHES}
     verify_mod = cli.verify_mod
@@ -953,6 +957,43 @@ def test_benchmark_tracer_patches_and_restores_every_name(capsys):
     for (mod, attr), fn in originals.items():
         assert getattr(importlib.import_module(mod), attr) is fn, f"{mod}.{attr}"
     assert cli.verify_mod is verify_mod
+
+def _curve(tmp_path):
+    return main(["curve", "--lambdas", "0.1,0.5", "--rhos", "0.05,0.1,0.2",
+                 "--out", str(tmp_path / "c.csv")])
+
+def _adjust(tmp_path):
+    path = write_csv(tmp_path, "in.csv", "pvalue,group\n0.01,a\n0.2,b\n0.6,a\n")
+    return main(["adjust", "--input", path, "--lambda", "0.5", "--alpha", "0.1"])
+
+def _audit_loop(tmp_path):
+    return check_rejection_expectation(SimConfig(
+        m=20, group_sizes=(10, 10), nonnull_counts=(0, 0), rho=0.2, replications=5), 0.0, 0.01)
+
+def _simulate(procedure):
+    return lambda tmp_path: main(["simulate", "--m", "20", "--group-sizes", "10,10",
+                                  "--nonnull-counts", "2,0", "--replications", "7",
+                                  "--procedure", procedure])
+
+@pytest.mark.parametrize("run, calls", [
+    *((_simulate(p), {"procedures": 7, "simulator": 1, "bound": 1}) for p in PROCEDURES),
+    (_audit_loop, {"procedures": 5}),
+    (_adjust, {"procedures": 1}),
+    (_curve, {"bound": 6}),
+], ids=[*(f"simulate-{p}" for p in PROCEDURES), "audit_loop", "adjust", "curve"])
+def test_benchmark_tracer_counts_the_pinned_calls(capsys, tmp_path, run, calls):
+    # `perfbench/run.py --trace 1` refuses a round whose counted calls move:
+    # one procedure call per replication or adjusted table, one run_mc per
+    # simulate, one bound per campaign or curve point.
+    tracer = _load_tracing().Tracer()
+    try:
+        tracer.install()
+        run(tmp_path)
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    totals = tracer.layer_totals()["calls"]
+    assert {layer: totals[layer] for layer in calls} == calls
 
 LAYERS = TRACING.parent / "layers.py"
 LAYER_MODULES = ("normal", "procedures", "simulator", "bound", "verify")

@@ -15,7 +15,8 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gbh_fdr import norm_cdf, norm_quantile, norm_sf, phi, tail_lower_bound
+from gbh_fdr import norm_cdf, norm_quantile, norm_sf, phi
+from oracles import tail_lower_bound
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,9 @@ from gbh_fdr import (
     gbh1,
     gbh1_weights,
     gbh1_weights_loo,
-    step_up_oracle,
     storey,
 )
+from oracles import step_up_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +285,9 @@ def test_loo_index_validation():
     (1.0, "index k=1.0 must be an integer"),
     ("1", "index k='1' must be an integer"),
     (None, "index k=None must be an integer"),
+    (True, "index k=True must be an integer"),
+    (False, "index k=False must be an integer"),
+    (np.True_, "index k=np.True_ must be an integer"),
 ])
 def test_loo_index_must_be_an_integer(k, message):
     gp = GroupedPValues(np.array([0.1, 0.2, 0.7]), (np.arange(3),))

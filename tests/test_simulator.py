@@ -24,7 +24,6 @@ from gbh_fdr import (
     ab_from_rho,
     exact_p_conditional,
     fdr_bound,
-    false_discovery_proportion,
     generate_sample,
     generate_sample_conditional,
     norm_cdf,
@@ -33,16 +32,17 @@ from gbh_fdr import (
     run_mc,
     run_mc_conditional,
 )
-from gbh_fdr.procedures import RejectionResult
 from gbh_fdr.simulator import (
     CONFIG_FLAGS,
     LOG_HEADER,
     PROCEDURES,
+    _summarize,
     append_log,
     config_with_updates,
     flag_updates,
     load_config_file,
     log_csv_line,
+    mean_and_se,
     summary_json_dict,
 )
 
@@ -159,6 +159,31 @@ def test_config_refuses_a_bool_as_a_number(field, value, bad):
     with pytest.raises(ConfigError) as exc:
         SimConfig(**{**kwargs, field: value})
     assert str(exc.value) == f"{field}: {bad!r} is a bool, not a number"
+
+@pytest.mark.parametrize("field, value, bad", [
+    ("rho", "0.1", "0.1"),
+    ("alpha", None, None),
+    ("lam", [0.5], [0.5]),
+    ("rho", np.array(0.1), np.array(0.1)),
+    ("effect_mu", "2", "2"),
+    ("effect_mu", (1.0, "2"), "2"),
+])
+def test_config_refuses_a_non_real_value(field, value, bad):
+    # Unchecked, a string or None fails later in a comparison with a bare
+    # TypeError, and a 0-d array passes and breaks the JSON summary.
+    kwargs = dict(m=4, group_sizes=(1, 3), nonnull_counts=(0, 1), replications=10)
+    with pytest.raises(ConfigError) as exc:
+        SimConfig(**{**kwargs, field: value})
+    assert str(exc.value) == f"{field}={bad!r} must be a real number"
+
+def test_config_stores_real_fields_as_floats():
+    cfg = SimConfig(m=4, group_sizes=(2, 2), nonnull_counts=(1, 0), rho=0,
+                    lam=np.float32(0.5), alpha=np.float64(0.05),
+                    effect_mu=(np.int64(2), 1.5), replications=10)
+    values = (cfg.rho, cfg.lam, cfg.alpha, *cfg.effect_mu)
+    assert values == (0.0, 0.5, 0.05, 2.0, 1.5)
+    assert all(type(v) is float for v in values)
+    assert log_csv_line(run_mc(cfg)).startswith("gbh1,4,0.0,0.5,0.05,10,")
 
 
 def test_config_element_budget_bounds_replications_and_m():
@@ -303,21 +328,29 @@ def test_alternatives_shift_pvalues_down():
 # ---------------------------------------------------------------------------
 # FDP bookkeeping
 
-def _result(rejected, m):
-    scores = np.zeros(m)
-    return RejectionResult(rejected=tuple(rejected), k_star=len(rejected),
-                           threshold=0.1, weighted_pvalues=scores)
+def _fdp_mean(k_star, false):
+    """fdr_hat that _summarize gives for hand-made counts R and V, each
+    replication taken twice: a standard error needs two replications."""
+    cfg = small_config()
+    return _summarize(cfg, np.array(k_star * 2), np.array(false * 2), None).fdr_hat
 
 def test_fdp_zero_when_no_rejections():
-    assert false_discovery_proportion(_result((), 4), [True] * 4) == 0.0
+    assert _fdp_mean([0], [0]) == 0.0
 
 def test_fdp_half_when_one_of_two_is_null():
-    assert false_discovery_proportion(
-        _result((0, 1), 4), [True, False, True, True]) == 0.5
+    # rejected (0, 1) with nulls at 0, 2 and 3: R = 2, V = 1
+    assert _fdp_mean([2], [1]) == 0.5
 
 def test_fdp_zero_when_only_alternatives_rejected():
-    assert false_discovery_proportion(
-        _result((1, 2), 4), [True, False, False, True]) == 0.0
+    # rejected (1, 2) with nulls at 0 and 3: R = 2, V = 0
+    assert _fdp_mean([2], [0]) == 0.0
+
+def test_summarize_takes_fdp_and_tpp_from_the_counts():
+    cfg = SimConfig(m=8, group_sizes=(4, 4), nonnull_counts=(2, 2), replications=3)
+    s = _summarize(cfg, np.array([0, 2, 3]), np.array([0, 1, 0]), 0.25)
+    assert (s.fdr_hat, s.fdr_se) == mean_and_se(np.array([0.0, 0.5, 0.0]))
+    assert (s.power_hat, s.power_se) == mean_and_se(np.array([0.0, 0.25, 0.75]))
+    assert (s.bound_value, s.replications_run, s.config) == (0.25, 3, cfg)
 
 
 # ---------------------------------------------------------------------------

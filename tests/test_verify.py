@@ -236,6 +236,29 @@ def test_loo_expectation_guards():
     with pytest.raises(ValueError):
         check_loo_expectation(lemma_config(), 0.0, "paper_h", group_index=5)
 
+@pytest.mark.parametrize("group_index, message", [
+    (True, "group_index: True is a bool, not a number"),
+    (1.5, "group_index=1.5 must be an integer"),
+    (np.float64(1.0), "group_index=np.float64(1.0) must be an integer"),
+    ("1", "group_index='1' must be an integer"),
+])
+def test_loo_expectation_refuses_a_non_integer_group_index_before_drawing(
+        monkeypatch, group_index, message):
+    def trap(*_):
+        raise AssertionError("a non-integer group_index reached the sampler")
+    monkeypatch.setattr(verify, "stream_uniforms", trap)
+    with pytest.raises(ValueError) as exc:
+        check_loo_expectation(lemma_config(replications=10), 0.0, "paper_h",
+                              group_index=group_index)
+    assert str(exc.value) == message
+
+def test_loo_expectation_stores_a_numpy_group_index_as_an_int():
+    rep = check_loo_expectation(lemma_config(replications=200), 0.0, "paper_h",
+                                group_index=np.int64(1))
+    assert type(rep.grid[0][3]) is int
+    assert rep == check_loo_expectation(lemma_config(replications=200), 0.0, "paper_h",
+                                        group_index=1)
+
 def test_loo_expectation_report_shape():
     rep = check_loo_expectation(lemma_config(replications=2000), 2.0, "paper_h")
     assert rep.section == "lemma_expect_loo"
@@ -294,6 +317,16 @@ def test_expectation_checks_reject_a_non_finite_x0_before_drawing(monkeypatch, c
     monkeypatch.setattr(verify, "stream_uniforms", trap)
     with pytest.raises(ValueError, match=rf"^x0={x0} must be finite$"):
         check(lemma_config(rho=rho, replications=10), x0, *args)
+
+@pytest.mark.parametrize("rho", [0.0, 0.35])
+def test_rejection_expectation_refuses_an_out_of_domain_rho_before_drawing(monkeypatch, rho):
+    # The cap's domain check comes before the draw and the gbh1 calls.
+    def trap(*_):
+        raise AssertionError("an out-of-domain rho reached the sampler")
+    monkeypatch.setattr(verify, "stream_uniforms", trap)
+    monkeypatch.setattr(verify, "gbh1", trap)
+    with pytest.raises(DomainError, match=rf"^rho={rho} outside \(0, 0\.344247\)$"):
+        check_rejection_expectation(lemma_config(rho=rho, replications=10), 0.0, 0.01)
 
 def test_loo_expectation_deterministic():
     a = check_loo_expectation(lemma_config(replications=1000), 0.0, "paper_h")
