@@ -1,6 +1,8 @@
 """Command-line front end.
 
-Subcommands: bound, curve, simulate, adjust, verify.  Exit codes:
+Subcommands: bound, curve, simulate, adjust, verify.  Every format they read
+or write lives here, from simulate's config grammar to the verify JSON, and
+the other modules only compute.  Exit codes:
 0 success, 1 an asserted verification failed, 2 bad input, out-of-domain
 arguments or too little memory for the sizes asked, 3 I/O failure.  All
 numeric output uses shortest round-trip decimals (Python repr) and fixed
@@ -10,10 +12,12 @@ key/column order, so identical invocations produce byte-identical bytes.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
 import math
+import os
 import sys
 from itertools import compress, islice, repeat
 
@@ -22,9 +26,7 @@ import numpy as np
 from .bound import (BoundInput, check_rho_grid, fdr_bound, fdr_bound_aform,
                     in_theorem_domain)
 from .procedures import GroupedPValues, bh_step_up, gbh1, storey
-from .simulator import (CONFIG_FLAGS, DEFAULTS_SOURCE, PROCEDURES, SimConfig,
-                        append_log, config_with_updates, flag_updates,
-                        load_config_file, open_utf8, run_mc, summary_json_dict)
+from .simulator import ConfigError, PROCEDURES, SimConfig, config_with_updates, run_mc
 from . import verify as verify_mod
 
 EXIT_OK = 0
@@ -36,6 +38,10 @@ EXIT_IO = 3
 # rhos, may hold.  It is checked before the points are built or evaluated, so
 # a mistyped step exits 2 instead of filling memory.
 GRID_MAX_POINTS = 100_000
+
+# Label attached to JSON output when a campaign ran on the built-in desk
+# defaults; those defaults are this package's choices, not derived values.
+DEFAULTS_SOURCE = "builtin-defaults"
 
 
 def _grid(spec: str, name: str) -> list:
@@ -107,6 +113,139 @@ def cmd_curve(args) -> int:
         fh.write("\n".join(lines) + "\n")
     print(f"wrote {len(lines) - 1} rows to {args.out}")
     return EXIT_OK
+
+
+# --- flat key=value config files ------------------------------------------
+
+def _int_list(raw: str) -> tuple:
+    return tuple(int(v) for v in raw.split(",") if v.strip() != "")
+
+
+def _float_or_list(raw: str):
+    parts = [v for v in raw.split(",") if v.strip() != ""]
+    return float(parts[0]) if len(parts) == 1 else tuple(float(v) for v in parts)
+
+
+# key -> (SimConfig field, parser), in the JSON summary's order.  Parsers get
+# the value already stripped; list parsers skip empty items.
+_CONFIG_KEYS = {
+    "m": ("m", int),
+    "group_sizes": ("group_sizes", _int_list),
+    "nonnull_counts": ("nonnull_counts", _int_list),
+    "effect_mu": ("effect_mu", _float_or_list),
+    "rho": ("rho", float),
+    "lambda": ("lam", float),
+    "alpha": ("alpha", float),
+    "procedure": ("procedure", str),
+    "replications": ("replications", int),
+    "seed": ("seed", int),
+}
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+# (flag, field) per config key: the command line spells each key as a flag.
+CONFIG_FLAGS = tuple((_flag(key), field) for key, (field, _) in _CONFIG_KEYS.items())
+
+
+def flag_updates(values: dict) -> dict:
+    """Field updates from raw flag strings keyed by field name (None: flag
+    not given), parsed with the config-file grammar."""
+    updates = {}
+    for key, (field, parse) in _CONFIG_KEYS.items():
+        raw = values.get(field)
+        if raw is not None:
+            try:
+                updates[field] = parse(raw.strip())
+            except ValueError as exc:
+                raise ConfigError(f"{_flag(key)}: bad value {raw!r}: {exc}") from exc
+    return updates
+
+
+@contextlib.contextmanager
+def open_utf8(path, newline=None):
+    """open(path) as UTF-8 text; a leading byte-order mark is skipped, not
+    read as text.  A byte that is not UTF-8 raises ConfigError naming
+    path:line, lines ending at \\n, \\r\\n or \\r as in text mode."""
+    with open(path, "r", encoding="utf-8-sig", newline=newline) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError:
+            with open(path, "rb") as raw:
+                data = raw.read()
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                head = data[:exc.start].replace(b"\r\n", b"\n")
+                line = head.count(b"\n") + head.count(b"\r") + 1
+                raise ConfigError(f"{path}:{line}: byte 0x{data[exc.start]:02x} is not UTF-8") from None
+            raise
+
+
+def load_config_file(path) -> dict:
+    """Parse a flat key=value file ('#' starts a comment) into field updates."""
+    updates = {}
+    with open_utf8(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
+            key, raw = (part.strip() for part in line.split("=", 1))
+            if key not in _CONFIG_KEYS:
+                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            field, parse = _CONFIG_KEYS[key]
+            try:
+                updates[field] = parse(raw)
+            except ValueError as exc:
+                raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
+    return updates
+
+
+# --- serialization ---------------------------------------------------------
+
+def summary_json_dict(summary, config_source: str = DEFAULTS_SOURCE) -> dict:
+    """A SimSummary as a fixed-key-order JSON dict; floats keep full repr precision."""
+    config = {}
+    for key, (field, _) in _CONFIG_KEYS.items():
+        value = getattr(summary.config, field)
+        config[key] = list(value) if isinstance(value, tuple) else value
+    return {
+        "config": config,
+        "config_source": config_source,
+        "defaults_note": "default campaign settings are this package's desk-scale choices",
+        "replications_run": summary.replications_run,
+        "fdr_hat": summary.fdr_hat,
+        "fdr_se": summary.fdr_se,
+        "power_hat": summary.power_hat,
+        "power_se": summary.power_se,
+        "bound_value": summary.bound_value,
+    }
+
+
+LOG_HEADER = "procedure,m,rho,lambda,alpha,reps,fdr_hat,fdr_se,power_hat,power_se,bound"
+
+
+def log_csv_line(summary) -> str:
+    cfg = summary.config
+    opt = lambda v: "" if v is None else repr(v)
+    return ",".join([
+        cfg.procedure, str(cfg.m), repr(cfg.rho), repr(cfg.lam), repr(cfg.alpha),
+        str(summary.replications_run), repr(summary.fdr_hat), repr(summary.fdr_se),
+        opt(summary.power_hat), opt(summary.power_se), opt(summary.bound_value),
+    ])
+
+
+def append_log(summary, path) -> None:
+    """Append one campaign line, writing the header first on a fresh file."""
+    fresh = not os.path.exists(path) or os.path.getsize(path) == 0
+    with open(path, "a", encoding="utf-8") as fh:
+        if fresh:
+            fh.write(LOG_HEADER + "\n")
+        fh.write(log_csv_line(summary) + "\n")
 
 
 def cmd_simulate(args) -> int:

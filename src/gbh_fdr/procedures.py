@@ -42,6 +42,7 @@ class GroupedPValues:
 
     pvalues: 1-d array, entries in [0, 1].
     groups: tuple of integer index arrays forming a partition of range(m).
+    labels (index -> group position) and group_sizes are set from groups.
     """
 
     pvalues: np.ndarray
@@ -68,8 +69,8 @@ class GroupedPValues:
             labels[g] = j
         object.__setattr__(self, "pvalues", p)
         object.__setattr__(self, "groups", groups)
-        object.__setattr__(self, "_labels", labels)
-        object.__setattr__(self, "_sizes", tuple(g.size for g in groups))
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "group_sizes", tuple(g.size for g in groups))
 
     def with_pvalues(self, pvalues) -> "GroupedPValues":
         """The same partition over new p-values.
@@ -92,15 +93,6 @@ class GroupedPValues:
     @property
     def g(self) -> int:
         return len(self.groups)
-
-    @property
-    def group_sizes(self) -> tuple:
-        return self._sizes
-
-    @property
-    def labels(self) -> np.ndarray:
-        """Index -> group position map (read-only companion to groups)."""
-        return self._labels
 
     @classmethod
     def from_labels(cls, pvalues, labels) -> "GroupedPValues":
@@ -211,16 +203,16 @@ def bh_step_up(scores, alpha: float) -> RejectionResult:
 def _gbh1_weights(gp: GroupedPValues, r_per_group, r_total: int, lam: float) -> list:
     """w_j = (n_j - R_j + 1)(R + g - 1)/(m(1-lambda)R_j) at the given counts,
     +inf where R_j = 0, as a Python list."""
-    scale = r_total + len(gp._sizes) - 1
+    scale = r_total + len(gp.group_sizes) - 1
     denom = gp.pvalues.size * (1.0 - lam)
     return [(n_j - r_j + 1) * scale / (denom * r_j) if r_j else math.inf
-            for n_j, r_j in zip(gp._sizes, r_per_group)]
+            for n_j, r_j in zip(gp.group_sizes, r_per_group)]
 
 
 def _gbh1_counts_and_weights(gp: GroupedPValues, lam: float) -> tuple:
     """(R_j per group, R, w_j per group), the two lists as Python lists."""
-    r_per_group = np.bincount(gp._labels.compress(gp.pvalues <= lam),
-                              minlength=len(gp._sizes)).tolist()
+    r_per_group = np.bincount(gp.labels.compress(gp.pvalues <= lam),
+                              minlength=len(gp.group_sizes)).tolist()
     r_total = sum(r_per_group)
     return r_per_group, r_total, _gbh1_weights(gp, r_per_group, r_total, lam)
 
@@ -255,7 +247,7 @@ def gbh1_weights_loo(gp: GroupedPValues, lam: float, k: int) -> GBHWeights:
         raise ValueError(f"index k={k} outside range(0, {gp.m})")
     below = gp.pvalues <= lam
     below[k] = False
-    r_per_group = np.bincount(gp._labels.compress(below), minlength=len(gp._sizes)).tolist()
+    r_per_group = np.bincount(gp.labels.compress(below), minlength=len(gp.group_sizes)).tolist()
     r_total = sum(r_per_group)
     # The formula above is gbh1's weight at the counts R_j^(-k) + 1 and R^(-k) + 1.
     w = _gbh1_weights(gp, [r + 1 for r in r_per_group], r_total + 1, lam)
@@ -274,7 +266,7 @@ def gbh1(gp: GroupedPValues, lam: float, alpha: float) -> RejectionResult:
     _validate_lambda(lam)
     _validate_alpha(alpha)
     w = _gbh1_counts_and_weights(gp, lam)[2]
-    w_by_index = np.array(w, dtype=float).take(gp._labels)
+    w_by_index = np.array(w, dtype=float).take(gp.labels)
     if math.inf in w:
         assert (gp.pvalues[np.isinf(w_by_index)] > lam).all()
     return _step_up(gp.pvalues * w_by_index, alpha)

@@ -23,11 +23,9 @@ clipped to the open unit interval at the representable edges (1e-300 and
 
 from __future__ import annotations
 
-import contextlib
 import math
 import numbers
 import operator
-import os
 from dataclasses import dataclass, replace
 from typing import Optional, Union
 
@@ -38,10 +36,6 @@ from .normal import _scratch, _work, norm_quantile, norm_sf
 from .procedures import GroupedPValues, RejectionResult, bh_step_up, gbh1, storey
 
 PROCEDURES = ("gbh1", "storey", "bh")
-
-# Label attached to JSON output when a campaign ran on the built-in desk
-# defaults; those defaults are this package's choices, not derived values.
-DEFAULTS_SOURCE = "builtin-defaults"
 
 _P_FLOOR = 1e-300
 _P_CEIL = float(np.nextafter(1.0, 0.0))
@@ -112,11 +106,12 @@ class SimConfig:
                                                      for v in value))
             except TypeError:
                 raise ConfigError(f"{name}={value!r} must be a sequence of integers") from None
-        if isinstance(self.effect_mu, (tuple, list, np.ndarray)):
-            object.__setattr__(self, "effect_mu",
-                               tuple(_real("effect_mu", v) for v in self.effect_mu))
+        mu = self.effect_mu
+        # A 0-d array is a scalar to _real, which refuses it as it refuses rho's.
+        if isinstance(mu, (tuple, list)) or (isinstance(mu, np.ndarray) and mu.ndim > 0):
+            object.__setattr__(self, "effect_mu", tuple(_real("effect_mu", v) for v in mu))
         else:
-            object.__setattr__(self, "effect_mu", _real("effect_mu", self.effect_mu))
+            object.__setattr__(self, "effect_mu", _real("effect_mu", mu))
         for name in ("m", "replications", "seed"):
             object.__setattr__(self, name, _integer(name, getattr(self, name)))
         for name in ("rho", "lam", "alpha"):
@@ -371,138 +366,5 @@ def run_mc_conditional(config: SimConfig, x0: float) -> SimSummary:
     return _mc_loop(config, _finite_x0(x0))
 
 
-# --- flat key=value config files ------------------------------------------
-
-def _int_list(raw: str) -> tuple:
-    return tuple(int(v) for v in raw.split(",") if v.strip() != "")
-
-
-def _float_or_list(raw: str):
-    parts = [v for v in raw.split(",") if v.strip() != ""]
-    return float(parts[0]) if len(parts) == 1 else tuple(float(v) for v in parts)
-
-
-# key -> (SimConfig field, parser), in the JSON summary's order.  Parsers get
-# the value already stripped; list parsers skip empty items.
-_CONFIG_KEYS = {
-    "m": ("m", int),
-    "group_sizes": ("group_sizes", _int_list),
-    "nonnull_counts": ("nonnull_counts", _int_list),
-    "effect_mu": ("effect_mu", _float_or_list),
-    "rho": ("rho", float),
-    "lambda": ("lam", float),
-    "alpha": ("alpha", float),
-    "procedure": ("procedure", str),
-    "replications": ("replications", int),
-    "seed": ("seed", int),
-}
-
-
-def _flag(key: str) -> str:
-    return "--" + key.replace("_", "-")
-
-
-# (flag, field) per config key: the command line spells each key as a flag.
-CONFIG_FLAGS = tuple((_flag(key), field) for key, (field, _) in _CONFIG_KEYS.items())
-
-
-def flag_updates(values: dict) -> dict:
-    """Field updates from raw flag strings keyed by field name (None: flag
-    not given), parsed with the config-file grammar."""
-    updates = {}
-    for key, (field, parse) in _CONFIG_KEYS.items():
-        raw = values.get(field)
-        if raw is not None:
-            try:
-                updates[field] = parse(raw.strip())
-            except ValueError as exc:
-                raise ConfigError(f"{_flag(key)}: bad value {raw!r}: {exc}") from exc
-    return updates
-
-
-@contextlib.contextmanager
-def open_utf8(path, newline=None):
-    """open(path) as UTF-8 text; a leading byte-order mark is skipped, not
-    read as text.  A byte that is not UTF-8 raises ConfigError naming
-    path:line, lines ending at \\n, \\r\\n or \\r as in text mode."""
-    with open(path, "r", encoding="utf-8-sig", newline=newline) as fh:
-        try:
-            yield fh
-        except UnicodeDecodeError:
-            with open(path, "rb") as raw:
-                data = raw.read()
-            try:
-                data.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                head = data[:exc.start].replace(b"\r\n", b"\n")
-                line = head.count(b"\n") + head.count(b"\r") + 1
-                raise ConfigError(f"{path}:{line}: byte 0x{data[exc.start]:02x} is not UTF-8") from None
-            raise
-
-
-def load_config_file(path) -> dict:
-    """Parse a flat key=value file ('#' starts a comment) into field updates."""
-    updates = {}
-    with open_utf8(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, raw = (part.strip() for part in line.split("=", 1))
-            if key not in _CONFIG_KEYS:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            field, parse = _CONFIG_KEYS[key]
-            try:
-                updates[field] = parse(raw)
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
-    return updates
-
-
 def config_with_updates(base: SimConfig, updates: dict) -> SimConfig:
     return replace(base, **updates) if updates else base
-
-
-# --- serialization ---------------------------------------------------------
-
-def summary_json_dict(summary: SimSummary, config_source: str = DEFAULTS_SOURCE) -> dict:
-    """Fixed-key-order dict for JSON output; floats keep full repr precision."""
-    config = {}
-    for key, (field, _) in _CONFIG_KEYS.items():
-        value = getattr(summary.config, field)
-        config[key] = list(value) if isinstance(value, tuple) else value
-    return {
-        "config": config,
-        "config_source": config_source,
-        "defaults_note": "default campaign settings are this package's desk-scale choices",
-        "replications_run": summary.replications_run,
-        "fdr_hat": summary.fdr_hat,
-        "fdr_se": summary.fdr_se,
-        "power_hat": summary.power_hat,
-        "power_se": summary.power_se,
-        "bound_value": summary.bound_value,
-    }
-
-
-LOG_HEADER = "procedure,m,rho,lambda,alpha,reps,fdr_hat,fdr_se,power_hat,power_se,bound"
-
-
-def log_csv_line(summary: SimSummary) -> str:
-    cfg = summary.config
-    opt = lambda v: "" if v is None else repr(v)
-    return ",".join([
-        cfg.procedure, str(cfg.m), repr(cfg.rho), repr(cfg.lam), repr(cfg.alpha),
-        str(summary.replications_run), repr(summary.fdr_hat), repr(summary.fdr_se),
-        opt(summary.power_hat), opt(summary.power_se), opt(summary.bound_value),
-    ])
-
-
-def append_log(summary: SimSummary, path) -> None:
-    """Append one campaign line, writing the header first on a fresh file."""
-    fresh = not os.path.exists(path) or os.path.getsize(path) == 0
-    with open(path, "a", encoding="utf-8") as fh:
-        if fresh:
-            fh.write(LOG_HEADER + "\n")
-        fh.write(log_csv_line(summary) + "\n")

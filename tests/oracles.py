@@ -5,6 +5,8 @@ independent restatement of something the package computes, kept only so
 that the tests can check the package's answer against it.
 """
 
+import math
+
 import numpy as np
 
 from gbh_fdr.normal import _scalar_in, phi
@@ -40,3 +42,13 @@ def tail_lower_bound(x):
         raise ValueError("tail_lower_bound: x must be >= 0")
     out = 2.0 * phi(arr) / (np.sqrt(4.0 + arr * arr) + arr)
     return float(out) if _scalar_in(x) else out
+
+
+def tail_by_continued_fraction(x: float, depth: int = 80) -> float:
+    """Upper tail via the Mills-ratio continued fraction, accurate for x >= 2."""
+    assert x >= 2.0
+    acc = 0.0
+    for k in range(depth, 0, -1):
+        acc = k / (x + acc)
+    dens = math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+    return dens / (x + acc)

@@ -21,9 +21,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gbh_fdr import cli
-from gbh_fdr.cli import EXIT_INPUT, EXIT_OK, main
+from gbh_fdr.cli import EXIT_INPUT, EXIT_OK, main, open_utf8
 from gbh_fdr.procedures import GroupedPValues, bh_step_up, gbh1, storey
-from gbh_fdr.simulator import open_utf8
 
 LIMIT = csv.field_size_limit()
 

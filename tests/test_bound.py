@@ -11,6 +11,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -243,6 +244,26 @@ def test_bound_exceeds_trivial_floor():
             assert bd.total > 0.05 * (1.0 - lam)
             assert all(t > 0.0 for t in bd.terms)
             assert bd.total == pytest.approx(math.fsum(bd.terms), rel=1e-15)
+
+# Panel edges for the integral over the shared factor.  For x0 > 0 the
+# integrand decays like exp(-c x0^2), with c = 0.046 at rho = 0.3 and c -> 0
+# at rho_max(), so the panels reach 30 and rho stays <= 0.3.
+SHARED_FACTOR_CUTS = (-40.0, -12.0, 0.0, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0,
+                      20.0, 25.0, 30.0)
+
+@pytest.mark.parametrize("lam", [0.05, 0.25, 0.5])
+@pytest.mark.parametrize("rho", [0.01, 0.1, 0.2, 0.3])
+def test_bound_is_the_integral_over_the_shared_factor(lam, rho):
+    # B = alpha (1 - lambda) E[m_factor(rho, X0) / p_lower(lambda, rho, X0)]
+    # with X0 ~ N(0, 1): the closed form against quadrature of its integrand.
+    def integrand(x0):
+        return m_factor(rho, x0) / p_lower(lam, rho, x0) * phi(x0)
+    expectation = math.fsum(
+        scipy.integrate.quad(integrand, lo, hi, epsrel=1e-13, limit=400)[0]
+        for lo, hi in zip(SHARED_FACTOR_CUTS, SHARED_FACTOR_CUTS[1:]))
+    for alpha in (0.05, 0.1):
+        assert fdr_bound(BoundInput(lam=lam, rho=rho, alpha=alpha)).total == pytest.approx(
+            alpha * (1.0 - lam) * expectation, rel=1e-10)
 
 def test_bound_figure_level_claims():
     assert fdr_bound(BoundInput(0.05, 0.149, 0.05)).total / 0.05 < 10.0

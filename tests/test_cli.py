@@ -23,8 +23,8 @@ import pytest
 
 import gbh_fdr
 from gbh_fdr import SimConfig, check_rejection_expectation, cli, simulator, verify
-from gbh_fdr.cli import EXIT_INPUT, EXIT_IO, EXIT_OK, EXIT_VERIFY_FAIL, main
-from gbh_fdr.simulator import LOG_HEADER, PROCEDURES
+from gbh_fdr.cli import EXIT_INPUT, EXIT_IO, EXIT_OK, EXIT_VERIFY_FAIL, LOG_HEADER, main
+from gbh_fdr.simulator import PROCEDURES
 
 
 def run_cli(capsys, *argv):
@@ -1068,3 +1068,23 @@ def test_package_modules_use_every_name_they_import():
                 names = (alias.asname or alias.name.split(".")[0] for alias in node.names)
                 unused += [f"{module}.{name}" for name in names if name not in used]
     assert unused == []
+
+def test_only_the_cli_reads_or_writes_files():
+    # The command line's formats live in cli: no other package module may
+    # import a file, text or argument-parsing module, or call the builtin open.
+    io_modules = {"os", "io", "csv", "json", "argparse"}
+    found = []
+    for path in sorted(Path(gbh_fdr.__file__).resolve().parent.glob("*.py")):
+        if path.stem == "cli":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                found += [f"{path.stem}: import {alias.name}" for alias in node.names
+                          if alias.name.split(".")[0] in io_modules]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                if (node.module or "").split(".")[0] in io_modules:
+                    found.append(f"{path.stem}: from {node.module} import")
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "open"):
+                found.append(f"{path.stem}:{node.lineno}: open()")
+    assert found == []

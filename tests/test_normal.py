@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gbh_fdr import norm_cdf, norm_quantile, norm_sf, phi
-from oracles import tail_lower_bound
+from oracles import tail_by_continued_fraction, tail_lower_bound
 
 
 # ---------------------------------------------------------------------------
@@ -30,15 +30,6 @@ def cdf_by_quadrature(x: float) -> float:
     )
     assert err < 1e-12
     return 0.5 + val
-
-def tail_by_continued_fraction(x: float, depth: int = 80) -> float:
-    """Upper tail via the Mills-ratio continued fraction, accurate for x >= 2."""
-    assert x >= 2.0
-    acc = 0.0
-    for k in range(depth, 0, -1):
-        acc = k / (x + acc)
-    dens = math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-    return dens / (x + acc)
 
 def quantile_by_bisection(p: float) -> float:
     """Invert the quadrature CDF by bisection to ~1e-13."""

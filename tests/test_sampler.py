@@ -26,8 +26,7 @@ from hypothesis import strategies as st
 from gbh_fdr import (SimConfig, generate_sample, generate_sample_conditional,
                      norm_quantile, pvalues_from_sample, run_mc, run_mc_conditional,
                      simulator)
-from gbh_fdr.cli import main
-from gbh_fdr.simulator import summary_json_dict
+from gbh_fdr.cli import main, summary_json_dict
 from gbh_fdr.verify import _conditional_pvalue_matrix
 
 

@@ -32,19 +32,16 @@ from gbh_fdr import (
     run_mc,
     run_mc_conditional,
 )
-from gbh_fdr.simulator import (
+from gbh_fdr.cli import (
     CONFIG_FLAGS,
     LOG_HEADER,
-    PROCEDURES,
-    _summarize,
     append_log,
-    config_with_updates,
     flag_updates,
     load_config_file,
     log_csv_line,
-    mean_and_se,
     summary_json_dict,
 )
+from gbh_fdr.simulator import PROCEDURES, _summarize, config_with_updates, mean_and_se
 
 
 def small_config(**kw) -> SimConfig:
@@ -167,6 +164,7 @@ def test_config_refuses_a_bool_as_a_number(field, value, bad):
     ("rho", np.array(0.1), np.array(0.1)),
     ("effect_mu", "2", "2"),
     ("effect_mu", (1.0, "2"), "2"),
+    ("effect_mu", np.array(2.0), np.array(2.0)),
 ])
 def test_config_refuses_a_non_real_value(field, value, bad):
     # Unchecked, a string or None fails later in a comparison with a bare

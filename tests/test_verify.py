@@ -36,14 +36,7 @@ from gbh_fdr.verify import (
     run_m_bound_section,
     run_mvt_section,
 )
-
-
-def tail_cf(x: float, depth: int = 80) -> float:
-    """Continued-fraction upper-tail oracle, accurate for x >= 2."""
-    acc = 0.0
-    for k in range(depth, 0, -1):
-        acc = k / (x + acc)
-    return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi) / (x + acc)
+from oracles import tail_by_continued_fraction as tail_cf
 
 
 # ---------------------------------------------------------------------------
