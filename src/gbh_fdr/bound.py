@@ -23,6 +23,7 @@ suite enforces this on a grid.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -52,12 +53,10 @@ class BoundInput:
 
 @dataclass(frozen=True)
 class BoundBreakdown:
-    """Seven bound terms (already scaled by alpha*(1-lambda)), their sum,
-    and which parameterization produced them ("rho" or "a")."""
+    """Seven bound terms (already scaled by alpha*(1-lambda)) and their sum."""
 
     terms: tuple
     total: float
-    parameterization: str
 
 
 def _cubic_in_a(a: float) -> float:
@@ -110,8 +109,13 @@ def in_theorem_domain(lam: float, rho: float, alpha: float) -> bool:
 
 
 def _finite_x0(x0) -> float:
-    """x0 as a float; DomainError when it is not finite.  Every function of
-    the shared factor applies this one rule before using x0."""
+    """x0 as a float; DomainError when it is a bool, not a real number or not
+    finite.  Every function of the shared factor applies this one rule
+    before using x0."""
+    if isinstance(x0, bool):
+        raise DomainError("x0", f"x0: {x0!r} is a bool, not a number")
+    if not isinstance(x0, numbers.Real):
+        raise DomainError("x0", f"x0={x0!r} must be a real number")
     x0 = float(x0)
     if not math.isfinite(x0):
         raise DomainError("x0", f"x0={x0} must be finite")
@@ -122,7 +126,7 @@ def ab_from_rho(rho: float, x0: float) -> tuple:
     """Conditional-CDF parameters (a, b) for correlation rho and factor x0."""
     if not (0.0 < rho < 1.0):
         raise DomainError("rho", f"rho={rho} outside (0, 1)")
-    _finite_x0(x0)
+    x0 = _finite_x0(x0)
     a = 1.0 / math.sqrt(1.0 - rho)
     b = -math.sqrt(rho / (1.0 - rho)) * x0
     return a, b
@@ -139,7 +143,7 @@ def m_factor(rho: float, x0: float) -> float:
     """
     if not (0.0 < rho < rho_max()):
         raise DomainError("rho", f"rho={rho} outside (0, {rho_max():.6f})")
-    _finite_x0(x0)
+    x0 = _finite_x0(x0)
     s = math.sqrt(1.0 - rho)
     if x0 <= 0.0:
         return 1.0 / s
@@ -242,7 +246,7 @@ def fdr_bound(inp: BoundInput, *, allow_out_of_domain: bool = False) -> BoundBre
     t6 = pref * sqrt_rho * one_minus_s * c
     t7 = pref * 0.5 * sqrt_rho * (1.0 - rho) * (1.0 + s) * c * c
     terms = (t1, t2, t3, t4, t5, t6, t7)
-    return BoundBreakdown(terms=terms, total=math.fsum(terms), parameterization="rho")
+    return BoundBreakdown(terms=terms, total=math.fsum(terms))
 
 
 def fdr_bound_aform(inp: BoundInput, *, allow_out_of_domain: bool = False) -> BoundBreakdown:
@@ -276,7 +280,7 @@ def fdr_bound_aform(inp: BoundInput, *, allow_out_of_domain: bool = False) -> Bo
     t6 = pref * (a - 1.0) * sqrt_a2m1 * (3.0 * a + 1.0) / cubic
     t7 = pref * big_q * big_q / (2.0 * (a - 1.0) * sqrt_a2m1)
     terms = (t1, t2, t3, t4, t5, t6, t7)
-    return BoundBreakdown(terms=terms, total=math.fsum(terms), parameterization="a")
+    return BoundBreakdown(terms=terms, total=math.fsum(terms))
 
 
 def check_rho_grid(rhos) -> None:

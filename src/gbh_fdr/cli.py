@@ -15,6 +15,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import errno
 import json
 import math
 import os
@@ -76,6 +77,34 @@ def _grid(spec: str, name: str) -> list:
     return vals
 
 
+def _check_destination(path) -> None:
+    """Raise the OSError that opening path for writing would raise for a
+    missing directory, a directory, or no write permission, creating
+    nothing: a bad output path then ends a command before its work.  None,
+    for stdout, passes."""
+    if path is None:
+        return
+    code = 0
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif os.path.exists(path):
+        if not os.access(path, os.W_OK):
+            code = errno.EACCES
+    else:
+        parent = os.path.dirname(path) or os.curdir
+        try:
+            os.stat(parent)  # a missing or unsearchable directory on the way
+        except OSError as exc:
+            code = exc.errno
+        else:
+            if not os.path.isdir(parent):
+                code = errno.ENOTDIR
+            elif not os.access(parent, os.W_OK | os.X_OK):
+                code = errno.EACCES
+    if code:
+        raise OSError(code, os.strerror(code), path)
+
+
 def _breakdown_dict(bd) -> dict:
     return {"terms": list(bd.terms), "total": bd.total}
 
@@ -104,6 +133,7 @@ def cmd_curve(args) -> int:
         raise ValueError(f"--lambdas x --rhos is {len(lams)} x {len(rhos)} points, "
                          f"more than {GRID_MAX_POINTS}")
     check_rho_grid(rhos)
+    _check_destination(args.out)
     lines = ["lambda,rho,bound,ratio"]
     for lam in lams:
         for rho in sorted(rhos):
@@ -253,6 +283,7 @@ def cmd_simulate(args) -> int:
     file_updates = load_config_file(args.config) if args.config is not None else {}
     config = config_with_updates(SimConfig(), {**file_updates, **flag_updates(vars(args))})
     source = DEFAULTS_SOURCE if args.config is None else str(args.config)
+    _check_destination(args.log)
     summary = run_mc(config)
     print(json.dumps(summary_json_dict(summary, config_source=source)))
     if args.log is not None:
@@ -380,6 +411,7 @@ def _write_table(fh, header: list, rows, unquoted: bool) -> None:
 
 
 def cmd_adjust(args) -> int:
+    _check_destination(args.out)
     need_group = args.procedure == "gbh1"
     cols, columns, p, labels, unquoted = _read_pvalue_table(args.input, need_group)
     if args.procedure == "gbh1":
@@ -413,6 +445,7 @@ _SECTION_RUNNERS = {
 
 
 def cmd_verify(args) -> int:
+    _check_destination(args.out)
     sections = list(_SECTION_RUNNERS) if args.section == "all" else [args.section]
     # lemmas runs first: a size it refuses ends the run before any other section's work
     ran = {name: _SECTION_RUNNERS[name](args) for name in sorted(sections, key="lemmas".__ne__)}

@@ -168,29 +168,29 @@ def _erfc_outer(a: np.ndarray) -> np.ndarray:
     return y
 
 
-def _erfc_array(a: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """erfc of each element of the float array a, written into out (which may
-    be a itself) and returned.  Each element gets _erfc_scalar's operations in
-    its order, so its bits, which are scipy.special.erfc's."""
+def _erfc_array(a: np.ndarray) -> np.ndarray:
+    """erfc of each element of the float array a, written over a and
+    returned.  Each element gets _erfc_scalar's operations in its order, so
+    its bits, which are scipy.special.erfc's."""
     # |a| < 1: 1 - erf(a) with erf(a) = a T(z)/U(z) and z = a*a, which for
     # a < 0 is exactly the port's 1 + x T/U, x = |a|.  The clip keeps the
     # other entries finite.
     c = np.clip(a, -1.0, 1.0, out=_work("clip", a.shape))
     z = np.multiply(c, c, out=_work("square", a.shape))
     # z < 1 exactly where |a| < 1.  The other entries and NaN take the outer
-    # branches; they are gathered first, because out may be a.  Then out
+    # branches; they are gathered first, because a is overwritten.  Then a
     # holds erf, and c's buffer, once used, holds U.  (take and put copy an
-    # a or out that is not C-contiguous; norm_quantile and norm_sf pass
-    # their work arrays, which are.)
+    # a that is not C-contiguous; norm_quantile and norm_sf pass their work
+    # arrays, which are.)
     inner = np.less(z, 1.0, out=_work("inner", a.shape, bool))
     outer = np.flatnonzero(np.logical_not(inner, out=inner))
     rest = _erfc_outer(np.take(a, outer))
-    erf = _polevl(z, _ERF_T, out)
+    erf = _polevl(z, _ERF_T, a)
     erf *= c
     erf /= _polevl(z, _ERF_U, c)
-    np.subtract(1.0, erf, out=out)
-    np.put(out, outer, rest)
-    return out
+    np.subtract(1.0, erf, out=a)
+    np.put(a, outer, rest)
+    return a
 
 
 def phi(x):
@@ -216,7 +216,7 @@ def _half_erfc(x, scale: float, name: str, out=None):
     # erfc runs in a C-ordered work array, whatever out's layout: the one
     # norm_quantile uses for Acklam's r and then its Newton step.
     arg = np.multiply(arr, scale, out=_work("r", arr.shape))
-    _erfc_array(arg, arg)
+    _erfc_array(arg)
     return np.multiply(arg, 0.5, out=out)
 
 
@@ -331,7 +331,7 @@ def norm_quantile(p, out=None):
     np.exp(dens, out=dens)
     dens *= _INV_SQRT_2PI
     step = np.multiply(out, -_INV_SQRT_2, out=_work("r", arr.shape))
-    _erfc_array(step, step)
+    _erfc_array(step)
     step *= 0.5
     step -= pm
     live = np.greater(dens, 0.0, out=tail)

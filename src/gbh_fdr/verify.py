@@ -30,7 +30,7 @@ from .bound import (DomainError, _finite_x0, ab_from_rho, exact_p_conditional,
 # phi is unused here but stays: perfbench/tracing.py patches verify.phi.
 from .normal import SQRT_2PI, _scratch, norm_cdf, norm_quantile, phi
 from .procedures import GroupedPValues, gbh1
-from .simulator import (_MAX_ARRAY_ELEMENTS, SimConfig, _integer, _mix, mean_and_se,
+from .simulator import (_MAX_ARRAY_ELEMENTS, SimConfig, _mix, mean_and_se,
                         pvalues_from_sample, stream_uniforms)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -252,9 +252,8 @@ def check_rejection_expectation(config: SimConfig, x0: float, c: float) -> Verif
     )
 
 
-def check_loo_expectation(config: SimConfig, x0: float, h_choice: str = "paper_h",
-                          group_index: int = 0) -> VerifyReport:
-    """Compare the leave-one-out sum against its per-group expectation cap:
+def check_loo_expectation(config: SimConfig, x0: float, h_choice: str = "paper_h") -> VerifyReport:
+    """Compare the first group's leave-one-out sum against its expectation cap:
 
       sum_{null k in group j} E[ h(R_j^(-k), R^(-k)) / (n_j - R_j^(-k)) ]
         <=  E[ h(R_j, R) ] / P(lambda, x0),
@@ -262,18 +261,16 @@ def check_loo_expectation(config: SimConfig, x0: float, h_choice: str = "paper_h
     with P the exact conditional chance of exceeding lambda, and h either the
     procedure's weight kernel (R_j+1)/(R+g) ("paper_h") or 1 ("constant_one").
     Counts are fully vectorized over replications.  A group with no nulls
-    gives an empty (zero) left side.
+    gives an empty (zero) left side.  Groups are contiguous blocks in
+    group_sizes order, so another group is audited by listing it first.
     """
     if h_choice not in ("paper_h", "constant_one"):
         raise ValueError(f"unknown h_choice {h_choice!r}")
-    group_index = _integer("group_index", group_index)
-    if not (0 <= group_index < len(config.group_sizes)):
-        raise ValueError("group_index out of range")
     pmat = _conditional_pvalue_matrix(config, x0, tag=2)
     below = pmat <= config.lam
     groups = config.groups()
     g = len(groups)
-    idx = groups[group_index]
+    idx = groups[0]
     n_j = idx.size
     r_j = below[:, idx].sum(axis=1).astype(float)
     r_tot = below.sum(axis=1).astype(float)
@@ -297,7 +294,7 @@ def check_loo_expectation(config: SimConfig, x0: float, h_choice: str = "paper_h
 
     return VerifyReport(
         section="lemma_expect_loo",
-        grid=[(config.rho, x0, h_choice, group_index)],
+        grid=[(config.rho, x0, h_choice, 0)],  # 0: the first group
         observed=[lhs],
         claimed=[rhs],
         notes="leave-one-out expectation sum vs per-group cap; reported, not asserted",

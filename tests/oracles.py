@@ -52,3 +52,26 @@ def tail_by_continued_fraction(x: float, depth: int = 80) -> float:
         acc = k / (x + acc)
     dens = math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
     return dens / (x + acc)
+
+
+def loo_sides_exact(n_j: int, m: int, g: int, p_exceed: float, h_choice: str) -> tuple:
+    """(left, right) of verify.check_loo_expectation's comparison for the
+    first group, of n_j hypotheses out of m in g groups, all null.  Given x0
+    each p-value is at or below lambda with chance q = 1 - p_exceed, so with
+    A ~ Bin(n_j - 1, q), B ~ Bin(m - n_j, q) and R_j ~ Bin(n_j, q)
+    independent, left = n_j E[h(A, A + B)/(n_j - A)] and right =
+    E[h(R_j, R_j + B)]/p_exceed."""
+    q = 1.0 - p_exceed
+
+    def pmf(n):
+        return [math.comb(n, k) * q ** k * p_exceed ** (n - k) for k in range(n + 1)]
+
+    def h(r_group, r_all):
+        return (r_group + 1.0) / (r_all + g) if h_choice == "paper_h" else 1.0
+
+    p_a, p_b, p_r = pmf(n_j - 1), pmf(m - n_j), pmf(n_j)
+    left = n_j * math.fsum(wa * wb * h(a, a + b) / (n_j - a)
+                           for a, wa in enumerate(p_a) for b, wb in enumerate(p_b))
+    right = math.fsum(wr * wb * h(r, r + b)
+                      for r, wr in enumerate(p_r) for b, wb in enumerate(p_b)) / p_exceed
+    return left, right

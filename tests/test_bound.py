@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from gbh_fdr import (
     BoundInput,
     DomainError,
+    SimConfig,
     ab_from_rho,
     bound_curve,
     exact_p_conditional,
@@ -32,6 +33,7 @@ from gbh_fdr import (
     p_lower,
     phi,
     rho_max,
+    run_mc_conditional,
     sup_f,
 )
 
@@ -143,6 +145,23 @@ def test_functions_of_the_shared_factor_refuse_a_non_finite_one(x0):
         with pytest.raises(DomainError, match=rf"^b={x0} must be finite$") as e:
             m_factor_ab(1.2, x0)
         assert e.value.constraint == "b"
+
+@pytest.mark.parametrize("x0, message", [(True, "x0: True is a bool, not a number"),
+                                         ("1", "x0='1' must be a real number")])
+def test_functions_of_the_shared_factor_refuse_a_bool_or_a_non_real_one(x0, message):
+    # float() would read True as 1.0 and "1" as 1.0, and the functions that
+    # multiply by x0 would then compute with the raw argument.
+    cfg = SimConfig(m=4, group_sizes=(4,), nonnull_counts=(0,), rho=0.2, replications=2)
+    calls = {"ab_from_rho": lambda: ab_from_rho(0.2, x0),
+             "m_factor": lambda: m_factor(0.2, x0),
+             "p_lower": lambda: p_lower(0.5, 0.2, x0),
+             "exact_p_conditional": lambda: exact_p_conditional(0.5, 0.2, x0),
+             "sup_f": lambda: sup_f(0.2, x0),
+             "run_mc_conditional": lambda: run_mc_conditional(cfg, x0)}
+    for name, call in calls.items():
+        with pytest.raises(DomainError) as e:
+            call()
+        assert (str(e.value), e.value.constraint) == (message, "x0"), name
 
 
 # ---------------------------------------------------------------------------
@@ -322,10 +341,6 @@ def test_in_theorem_domain_flag():
 
 # ---------------------------------------------------------------------------
 # the two parameterizations agree termwise
-
-def test_parameterization_tags():
-    assert fdr_bound(BoundInput(0.5, 0.1, 0.05)).parameterization == "rho"
-    assert fdr_bound_aform(BoundInput(0.5, 0.1, 0.05)).parameterization == "a"
 
 def test_termwise_agreement_spot_point():
     # the second summand, written both ways, at (0.5, 0.3)

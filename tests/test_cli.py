@@ -638,6 +638,62 @@ def test_adjust_blank_lines_ignored(capsys, tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# output paths: a bad one is refused before the work, and nothing is created
+
+CAMPAIGN_CFG = Path(__file__).resolve().parent.parent / "scripts" / "all_null_gbh1.cfg"
+
+def _trap_the_work(monkeypatch):
+    def trap(*args, **kwargs):
+        raise AssertionError("the work started before the output path was checked")
+    for module, name in [(cli, "run_mc"), (cli, "fdr_bound"), (cli, "_read_pvalue_table"),
+                         (verify, "run_integrals_section"), (verify, "run_m_bound_section"),
+                         (verify, "run_mvt_section"), (verify, "run_lemmas_section")]:
+        monkeypatch.setattr(module, name, trap)
+
+@pytest.mark.parametrize("destination", ["missing directory", "directory", "file as directory"])
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--config", str(CAMPAIGN_CFG), "--log"),
+    ("verify", "--section", "all", "--reps", "400", "--out"),
+    ("curve", "--lambdas", "0.5", "--rhos", "0.1", "--out"),
+    ("adjust", "--input", "absent.csv", "--out"),
+], ids=["simulate", "verify", "curve", "adjust"])
+def test_a_bad_output_path_exits_3_before_the_work(capsys, monkeypatch, tmp_path, argv,
+                                                   destination):
+    (tmp_path / "a_file").write_text("kept\n")
+    path = {"missing directory": tmp_path / "no_such_dir" / "out",
+            "directory": tmp_path,
+            "file as directory": tmp_path / "a_file" / "out"}[destination]
+    with pytest.raises(OSError) as opened:
+        open(path, "w")
+    _trap_the_work(monkeypatch)
+    rc, out, err = run_cli(capsys, *argv, str(path))
+    assert (rc, out, err) == (EXIT_IO, "", f"i/o error: {opened.value}\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["a_file"]
+    assert (tmp_path / "a_file").read_text() == "kept\n"
+
+@pytest.mark.parametrize("exists", [True, False], ids=["file", "new file"])
+def test_an_unwritable_output_path_exits_3_before_the_work(capsys, monkeypatch, tmp_path,
+                                                           exists):
+    # os.access stands in for the permission bits, which do not stop root.
+    path = tmp_path / "out.json"
+    if exists:
+        path.write_text("kept\n")
+    _trap_the_work(monkeypatch)
+    monkeypatch.setattr(os, "access", lambda *args: False)
+    rc, out, err = run_cli(capsys, "verify", "--section", "lemmas", "--out", str(path))
+    assert (rc, out) == (EXIT_IO, "")
+    assert err == f"i/o error: [Errno 13] Permission denied: '{path}'\n"
+    assert path.exists() is exists
+
+def test_simulate_log_appends_to_an_existing_file(capsys, tmp_path):
+    log, fresh = tmp_path / "runs.csv", tmp_path / "fresh.csv"
+    log.write_text("kept\n")
+    assert run_cli(capsys, *SIM_ARGS, "--log", str(log))[0] == EXIT_OK
+    run_cli(capsys, *SIM_ARGS, "--log", str(fresh))
+    assert log.read_text() == "kept\n" + fresh.read_text().splitlines(keepends=True)[1]
+
+
+# ---------------------------------------------------------------------------
 # verify
 
 def test_verify_integrals_clean_pass(capsys):
@@ -957,6 +1013,22 @@ def test_benchmark_tracer_patches_and_restores_every_name(capsys):
     for (mod, attr), fn in originals.items():
         assert getattr(importlib.import_module(mod), attr) is fn, f"{mod}.{attr}"
     assert cli.verify_mod is verify_mod
+
+# verify imports phi only so that the tracer has a verify.phi to patch;
+# ROADMAP item 5 drops the patch and the import together.
+UNREAD_PATCHED_NAMES = {("gbh_fdr.verify", "phi")}
+
+def test_every_patched_name_is_read_by_its_module():
+    # A patched name that its module no longer reads outside its import
+    # counts nothing: a call moved out from under the tracer's patch, which
+    # would move the benchmark's pinned call counts.
+    unread = set()
+    for mod, name, _ in _load_tracing().PATCHES:
+        tree = ast.parse(inspect.getsource(importlib.import_module(mod)))
+        if not any(isinstance(node, ast.Name) and node.id == name
+                   and isinstance(node.ctx, ast.Load) for node in ast.walk(tree)):
+            unread.add((mod, name))
+    assert unread - UNREAD_PATCHED_NAMES == set()
 
 def _curve(tmp_path):
     return main(["curve", "--lambdas", "0.1,0.5", "--rhos", "0.05,0.1,0.2",

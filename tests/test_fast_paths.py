@@ -442,7 +442,7 @@ def test_erfc_kernels_match_written_out_oracle():
     assert all(type(v) is float for v in scalar)
     got = np.array(scalar).view(np.int64)
     assert [x for x, g, w in zip(xs.tolist(), got, want) if g != w] == []
-    got = _erfc_array(xs, np.empty_like(xs)).view(np.int64)
+    got = _erfc_array(xs.copy()).view(np.int64)
     assert [x for x, g, w in zip(xs.tolist(), got, want) if g != w] == []
 
 
@@ -451,7 +451,7 @@ def test_erfc_kernels_match_written_out_oracle():
 
 def assert_erfc_array_bits(xs) -> None:
     xs = np.asarray(xs, dtype=float)
-    got = _erfc_array(xs, np.empty_like(xs)).view(np.int64)
+    got = _erfc_array(xs.copy()).view(np.int64)
     want = erfc(xs).view(np.int64)
     assert [x for x, g, w in zip(xs.tolist(), got, want) if g != w] == []
 
@@ -472,40 +472,29 @@ def test_erfc_array_is_bitwise_scipy(xs):
 ERFC_GRID = np.concatenate([ERFC_EDGES, np.linspace(-9.0, 9.0, 7)]).reshape(6, 8)
 
 
-@pytest.mark.parametrize("layout", ["C", "Fortran", "strided", "strided out", "read-only",
-                                    "aliased", "aliased strided", "empty"])
+@pytest.mark.parametrize("layout", ["C", "Fortran", "strided", "empty"])
 def test_erfc_array_handles_every_layout(layout):
     grid = ERFC_GRID.copy()
-    base = np.repeat(grid, 2, axis=1)  # the strided cases use its even columns
-    if layout == "read-only":
-        grid.flags.writeable = False
-    arg, out = {
-        "C": (grid, np.empty_like(grid)),
-        "Fortran": (np.asfortranarray(grid), np.empty(grid.shape, order="F")),
-        "strided": (base[:, ::2], np.empty_like(grid)),
-        "strided out": (grid, base[:, ::2]),
-        "read-only": (grid, np.empty_like(grid)),
-        "aliased": (grid, grid),
-        "aliased strided": (base[:, ::2],) * 2,
-        "empty": (np.empty((3, 0)), np.empty((3, 0))),
+    base = np.repeat(grid, 2, axis=1)  # the strided case uses its even columns
+    arg = {
+        "C": grid,
+        "Fortran": np.asfortranarray(grid),
+        "strided": base[:, ::2],
+        "empty": np.empty((3, 0)),
     }[layout]
     want = erfc(arg).tobytes()
-    arg_before, base_before = arg.tobytes(), base.copy()
-    got = _erfc_array(arg, out)
-    assert got is out and got.shape == arg.shape
-    assert got.tobytes() == want
-    if out is not arg:
-        assert arg.tobytes() == arg_before
-    # Only out's own elements are written: the odd columns of base stay.
+    base_before = base.copy()
+    got = _erfc_array(arg)
+    assert got is arg and got.tobytes() == want
+    # Only arg's own elements are written: the odd columns of base stay.
     assert base[:, 1::2].tobytes() == base_before[:, 1::2].tobytes()
 
 
 def test_erfc_array_takes_0d_arrays():
     for v in ERFC_GRID.ravel().tolist():
         arg = np.array(v)
-        got = _erfc_array(arg, np.empty(()))
-        assert got.shape == () and got.tobytes() == erfc(arg).tobytes()
-        assert _erfc_array(arg, arg) is arg and arg.tobytes() == erfc(v).tobytes()
+        got = _erfc_array(arg)
+        assert got is arg and got.shape == () and got.tobytes() == erfc(v).tobytes()
 
 
 def test_libm_exp_route_is_math_exp():
@@ -525,7 +514,7 @@ def test_erfc_array_does_not_warn_at_the_extremes():
                    5e-324, -5e-324, 1e-310, -1e-310, 2.2250738585072014e-308, 27.0, -27.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = _erfc_array(xs, np.empty_like(xs))
+        got = _erfc_array(xs.copy())
         cdf = norm_cdf(xs)
         sf = norm_sf(xs)
     assert got.tobytes() == erfc(xs).tobytes()

@@ -12,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from gbh_fdr import cli
+from gbh_fdr import cli, exact_p_conditional
+from oracles import loo_sides_exact
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -69,3 +70,19 @@ def test_readme_command_check_catches_a_misspelled_flag(flag, typo):
     assert flag in block
     _, refused = unparsed_commands(block.replace(flag, typo, 1))
     assert len(refused) == 1 and typo in refused[0]
+
+
+def test_readme_leave_one_out_table_is_the_closed_form():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### The leave-one-out comparison, exactly", 1)[1]
+    rows = re.findall(r"^\| (−?\d) \| ([\d.]+) \| ([\d.]+) \| ([\d.]+) \| ([\d.]+) \|$",
+                      section.split("\n#", 1)[0], flags=re.M)
+    assert len(rows) == 8
+    for x0, *shown in rows:
+        p_exceed = exact_p_conditional(0.5, 0.2, float(x0.replace("−", "-")))
+        left, right = loo_sides_exact(10, 20, 2, p_exceed, "paper_h")
+        one_left, one_right = loo_sides_exact(10, 20, 2, p_exceed, "constant_one")
+        assert shown == [f"{left:.6f}", f"{right:.6f}", f"{left / right:.4f}",
+                         f"{one_left / one_right:.4f}"], x0
+        # for h = 1 the ratio is 1 - q^n_j, n_j E[1/(n_j - A)] being (1 - q^n_j)/P
+        assert one_left / one_right == pytest.approx(1.0 - (1.0 - p_exceed) ** 10, rel=1e-12)

@@ -8,6 +8,7 @@ residuals are nonzero, and everything is deterministic.
 """
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from gbh_fdr import (
     VerifyReport,
     check_loo_expectation,
     check_rejection_expectation,
+    exact_p_conditional,
     f_ratio,
     integrals_closed,
     m_factor,
@@ -36,7 +38,7 @@ from gbh_fdr.verify import (
     run_m_bound_section,
     run_mvt_section,
 )
-from oracles import tail_by_continued_fraction as tail_cf
+from oracles import loo_sides_exact, tail_by_continued_fraction as tail_cf
 
 
 # ---------------------------------------------------------------------------
@@ -226,31 +228,6 @@ def test_rejection_expectation_deterministic():
 def test_loo_expectation_guards():
     with pytest.raises(ValueError):
         check_loo_expectation(lemma_config(), 0.0, "exotic_h")
-    with pytest.raises(ValueError):
-        check_loo_expectation(lemma_config(), 0.0, "paper_h", group_index=5)
-
-@pytest.mark.parametrize("group_index, message", [
-    (True, "group_index: True is a bool, not a number"),
-    (1.5, "group_index=1.5 must be an integer"),
-    (np.float64(1.0), "group_index=np.float64(1.0) must be an integer"),
-    ("1", "group_index='1' must be an integer"),
-])
-def test_loo_expectation_refuses_a_non_integer_group_index_before_drawing(
-        monkeypatch, group_index, message):
-    def trap(*_):
-        raise AssertionError("a non-integer group_index reached the sampler")
-    monkeypatch.setattr(verify, "stream_uniforms", trap)
-    with pytest.raises(ValueError) as exc:
-        check_loo_expectation(lemma_config(replications=10), 0.0, "paper_h",
-                              group_index=group_index)
-    assert str(exc.value) == message
-
-def test_loo_expectation_stores_a_numpy_group_index_as_an_int():
-    rep = check_loo_expectation(lemma_config(replications=200), 0.0, "paper_h",
-                                group_index=np.int64(1))
-    assert type(rep.grid[0][3]) is int
-    assert rep == check_loo_expectation(lemma_config(replications=200), 0.0, "paper_h",
-                                        group_index=1)
 
 def test_loo_expectation_report_shape():
     rep = check_loo_expectation(lemma_config(replications=2000), 2.0, "paper_h")
@@ -262,9 +239,49 @@ def test_loo_expectation_report_shape():
 def test_loo_expectation_empty_group_sum():
     # a group with no nulls contributes an empty left side
     cfg = lemma_config(nonnull_counts=(10, 0), replications=500)
-    rep = check_loo_expectation(cfg, 0.0, "paper_h", group_index=0)
+    rep = check_loo_expectation(cfg, 0.0, "paper_h")
     assert rep.observed == [0.0]
     assert rep.max_violation < 0.0
+
+def brute_force_loo_sides(n_j: int, m: int, g: int, p_exceed: float, h_choice: str) -> tuple:
+    """Both sides of the leave-one-out comparison, all null, by summing over
+    every pattern of the m p-values at or below lambda (the first n_j form
+    the group)."""
+    q = 1.0 - p_exceed
+
+    def h(r_group, r_all):
+        return (r_group + 1.0) / (r_all + g) if h_choice == "paper_h" else 1.0
+
+    left, right = [], []
+    for below in itertools.product((0, 1), repeat=m):
+        weight = q ** sum(below) * p_exceed ** (m - sum(below))
+        r_j, r = sum(below[:n_j]), sum(below)
+        left += [weight * h(r_j - d, r - d) / (n_j - r_j + d) for d in below[:n_j]]
+        right.append(weight * h(r_j, r))
+    return math.fsum(left), math.fsum(right) / p_exceed
+
+@pytest.mark.parametrize("h_choice", ["paper_h", "constant_one"])
+@pytest.mark.parametrize("p_exceed", [0.05, 0.3, 0.5, 0.9])
+def test_loo_closed_form_equals_enumeration(p_exceed, h_choice):
+    exact = loo_sides_exact(3, 5, 2, p_exceed, h_choice)
+    assert exact == pytest.approx(brute_force_loo_sides(3, 5, 2, p_exceed, h_choice),
+                                  rel=0, abs=1e-12)
+
+def test_loo_reports_are_within_4_se_of_their_exact_values():
+    # run_lemmas_section's desk config (m = 20, two groups of 10, lambda 0.5)
+    # is all null, so both sides have closed forms given x0.  The default
+    # seed and replications were fixed before the first run.
+    loo = [rep for rep in run_lemmas_section().reports if rep.section == "lemma_expect_loo"]
+    assert len(loo) == 4
+    for rep in loo:
+        [(rho, x0, h_choice, _)] = rep.grid
+        left, right = loo_sides_exact(10, 20, 2, exact_p_conditional(0.5, rho, x0), h_choice)
+        left_se, right_se = rep.stderr
+        assert abs(rep.observed[0] - left) <= 4.0 * left_se, rep.grid
+        if h_choice == "constant_one":  # the right side is exactly 1/P
+            assert right_se == 0.0 and abs(rep.claimed[0] - right) <= 1e-12, rep.grid
+        else:
+            assert abs(rep.claimed[0] - right) <= 4.0 * right_se, rep.grid
 
 def test_loo_expectation_independent_constant_h_analytic():
     """At vanishing correlation with h = 1 the left side has the closed form
