@@ -472,20 +472,27 @@ def test_erfc_array_is_bitwise_scipy(xs):
 ERFC_GRID = np.concatenate([ERFC_EDGES, np.linspace(-9.0, 9.0, 7)]).reshape(6, 8)
 
 
-@pytest.mark.parametrize("layout", ["C", "Fortran", "strided", "empty"])
+@pytest.mark.parametrize("layout", ["C", "Fortran", "strided", "aliased", "aliased strided",
+                                    "empty"])
 def test_erfc_array_handles_every_layout(layout):
     grid = ERFC_GRID.copy()
-    base = np.repeat(grid, 2, axis=1)  # the strided case uses its even columns
-    arg = {
-        "C": grid,
-        "Fortran": np.asfortranarray(grid),
-        "strided": base[:, ::2],
-        "empty": np.empty((3, 0)),
+    base = np.repeat(grid, 2, axis=1)  # the strided cases use its even columns
+    # The aliased cases pass a view of grid, or of base's even columns, in
+    # another shape; the erfc written through it must land in that memory.
+    arg, owner = {
+        "C": (grid, grid),
+        "Fortran": (np.asfortranarray(grid), None),
+        "strided": (base[:, ::2], base[:, ::2]),
+        "aliased": (grid.reshape(8, 6), grid),
+        "aliased strided": (base[:, ::2].T, base[:, ::2]),
+        "empty": (np.empty((3, 0)), None),
     }[layout]
     want = erfc(arg).tobytes()
     base_before = base.copy()
     got = _erfc_array(arg)
     assert got is arg and got.tobytes() == want
+    if owner is not None:
+        assert owner.tobytes() == erfc(ERFC_GRID).tobytes()
     # Only arg's own elements are written: the odd columns of base stay.
     assert base[:, 1::2].tobytes() == base_before[:, 1::2].tobytes()
 
