@@ -78,35 +78,31 @@ def _grid(spec: str, name: str) -> list:
 
 
 def _check_destination(path) -> None:
-    """Raise the OSError that opening path for writing would raise for a
-    missing directory, a directory, or no write permission, creating
-    nothing: a bad output path then ends a command before its work.  None,
-    for stdout, passes."""
+    """Raise the OSError that opening path for writing would raise, leaving
+    nothing behind: a bad output path then ends a command before its work.
+    The OS answers.  A new path is created and removed at once; an existing
+    one is opened for writing without truncation; a dangling symlink is
+    checked at its target, which open would create.  A FIFO with no reader
+    passes, since the late open waits for one.  None, for stdout, passes."""
     if path is None:
         return
-    code = 0
-    if os.path.isdir(path):
-        code = errno.EISDIR
-    elif os.path.exists(path):
-        if not os.access(path, os.W_OK):
-            code = errno.EACCES
+    try:
+        os.close(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL))
+    except FileExistsError:
+        pass
     else:
-        parent = os.path.dirname(path) or os.curdir
+        os.unlink(path)
+        return
+    try:
+        os.close(os.open(path, os.O_WRONLY | os.O_NONBLOCK))
+    except FileNotFoundError:  # a symlink to a missing file
         try:
-            os.stat(parent)  # a missing or unsearchable directory on the way
+            _check_destination(os.path.join(os.path.dirname(path), os.readlink(path)))
         except OSError as exc:
-            code = exc.errno
-        else:
-            if not os.path.isdir(parent):
-                code = errno.ENOTDIR
-            elif not os.access(parent, os.W_OK | os.X_OK):
-                code = errno.EACCES
-    if code:
-        raise OSError(code, os.strerror(code), path)
-
-
-def _breakdown_dict(bd) -> dict:
-    return {"terms": list(bd.terms), "total": bd.total}
+            raise OSError(exc.errno, exc.strerror, path) from None
+    except OSError as exc:
+        if exc.errno != errno.ENXIO:
+            raise
 
 
 def cmd_bound(args) -> int:
@@ -117,11 +113,11 @@ def cmd_bound(args) -> int:
         "rho": args.rho,
         "alpha": args.alpha,
         "in_theorem_domain": in_theorem_domain(args.lam, args.rho, args.alpha),
-        "rho_form": _breakdown_dict(bd),
+        "rho_form": dataclasses.asdict(bd),
         "ratio": bd.total / args.alpha,
     }
     if args.aform:
-        out["a_form"] = _breakdown_dict(fdr_bound_aform(inp, allow_out_of_domain=args.force))
+        out["a_form"] = dataclasses.asdict(fdr_bound_aform(inp, allow_out_of_domain=args.force))
     print(json.dumps(out))
     return EXIT_OK
 

@@ -305,11 +305,15 @@ def _bound_or_none(config: SimConfig) -> Optional[float]:
     return None
 
 
+def check_se_replications(n: int) -> None:
+    """Refuse fewer than 2 replications, which leave no standard error."""
+    if n < 2:
+        raise ValueError(f"a Monte Carlo standard error needs at least 2 replications, got {n}")
+
+
 def mean_and_se(values: np.ndarray) -> tuple:
     """Mean of per-replication values and its Monte Carlo standard error."""
-    if values.size < 2:
-        raise ValueError("a Monte Carlo standard error needs at least 2 replications, "
-                         f"got {values.size}")
+    check_se_replications(values.size)
     return float(values.mean()), float(values.std(ddof=1) / math.sqrt(values.size))
 
 
@@ -329,6 +333,7 @@ def _summarize(config: SimConfig, k_star: np.ndarray, false: np.ndarray,
 
 def _mc_loop(config: SimConfig, x0: Optional[float] = None) -> SimSummary:
     reps = config.replications
+    check_se_replications(reps)
     # The groups are fixed for the campaign: check the partition once, then
     # give each replication its p-values through with_pvalues.
     partition = GroupedPValues(np.ones(config.m), config.groups())

@@ -30,8 +30,8 @@ from .bound import (DomainError, _finite_x0, ab_from_rho, exact_p_conditional,
 # phi is unused here but stays: perfbench/tracing.py patches verify.phi.
 from .normal import SQRT_2PI, _scratch, norm_cdf, norm_quantile, phi
 from .procedures import GroupedPValues, gbh1
-from .simulator import (_MAX_ARRAY_ELEMENTS, SimConfig, _mix, mean_and_se,
-                        pvalues_from_sample, stream_uniforms)
+from .simulator import (_MAX_ARRAY_ELEMENTS, SimConfig, _mix, check_se_replications,
+                        mean_and_se, pvalues_from_sample, stream_uniforms)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -204,8 +204,10 @@ def _conditional_pvalue_matrix(config: SimConfig, x0: float, tag: int) -> np.nda
     substream keyed (seed, tag); deterministic given the config.  The stream
     is drawn a block of rows at a time into the one output array and turned
     into p-values there, in place.  Raises ValueError, before drawing, when
-    x0 is not finite or the matrix exceeds the element budget."""
+    x0 is not finite, replications is below 2 or the matrix exceeds the
+    element budget."""
     x0 = _finite_x0(x0)
+    check_se_replications(config.replications)
     if config.replications * config.m > _MAX_ARRAY_ELEMENTS:
         raise ValueError(f"replications x m = {config.replications} x {config.m} exceeds "
                          f"{_MAX_ARRAY_ELEMENTS} array elements")

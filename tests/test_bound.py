@@ -284,6 +284,22 @@ def test_bound_is_the_integral_over_the_shared_factor(lam, rho):
         assert fdr_bound(BoundInput(lam=lam, rho=rho, alpha=alpha)).total == pytest.approx(
             alpha * (1.0 - lam) * expectation, rel=1e-10)
 
+@pytest.mark.parametrize("nonnull_counts", [(0, 0, 0, 0), (10, 10, 0, 0)],
+                         ids=["all null", "signals"])
+@pytest.mark.parametrize("rho", [0.1, 0.3])
+def test_conditional_fdr_is_under_the_ceiling_pointwise(rho, nonnull_counts):
+    # E[FDP | x0] <= alpha (1 - lambda) m_factor(rho, x0) / p_lower(lambda, rho, x0),
+    # the integrand above, by run_mc_conditional within 4 SE.  The seed was
+    # fixed before the first run; a miss is a finding, not a reason to re-seed.
+    lam, alpha = 0.5, 0.05
+    cfg = SimConfig(m=200, group_sizes=(50, 50, 50, 50), nonnull_counts=nonnull_counts,
+                    effect_mu=3.0, rho=rho, lam=lam, alpha=alpha, replications=2000,
+                    seed=20261020)
+    for x0 in (-2.0, 0.0, 1.0, 2.0, 3.0, 4.0):
+        s = run_mc_conditional(cfg, x0)
+        ceiling = alpha * (1.0 - lam) * m_factor(rho, x0) / p_lower(lam, rho, x0)
+        assert s.fdr_hat <= ceiling + 4.0 * s.fdr_se, (x0, s.fdr_hat, s.fdr_se, ceiling)
+
 def test_bound_figure_level_claims():
     assert fdr_bound(BoundInput(0.05, 0.149, 0.05)).total / 0.05 < 10.0
     assert fdr_bound(BoundInput(0.05, 0.219, 0.05)).total / 0.05 < 20.0

@@ -6,6 +6,8 @@ byte determinism of primary outputs, and fixed JSON/CSV shapes.
 """
 
 import ast
+import contextlib
+import errno
 import hashlib
 import importlib
 import importlib.util
@@ -16,6 +18,8 @@ import os
 import re
 import subprocess
 import sys
+import threading
+import time
 import warnings
 from pathlib import Path
 
@@ -650,7 +654,8 @@ def _trap_the_work(monkeypatch):
                          (verify, "run_mvt_section"), (verify, "run_lemmas_section")]:
         monkeypatch.setattr(module, name, trap)
 
-@pytest.mark.parametrize("destination", ["missing directory", "directory", "file as directory"])
+@pytest.mark.parametrize("destination", ["missing directory", "directory", "file as directory",
+                                         "name too long", "symlink loop", "dangling symlink"])
 @pytest.mark.parametrize("argv", [
     ("simulate", "--config", str(CAMPAIGN_CFG), "--log"),
     ("verify", "--section", "all", "--reps", "400", "--out"),
@@ -660,30 +665,98 @@ def _trap_the_work(monkeypatch):
 def test_a_bad_output_path_exits_3_before_the_work(capsys, monkeypatch, tmp_path, argv,
                                                    destination):
     (tmp_path / "a_file").write_text("kept\n")
+    (tmp_path / "loop").symlink_to("loop")
+    (tmp_path / "dangling").symlink_to(tmp_path / "no_such_dir" / "out")
     path = {"missing directory": tmp_path / "no_such_dir" / "out",
             "directory": tmp_path,
-            "file as directory": tmp_path / "a_file" / "out"}[destination]
+            "file as directory": tmp_path / "a_file" / "out",
+            "name too long": tmp_path / ("x" * (os.pathconf(tmp_path, "PC_NAME_MAX") + 1)),
+            "symlink loop": tmp_path / "loop",
+            "dangling symlink": tmp_path / "dangling"}[destination]
     with pytest.raises(OSError) as opened:
         open(path, "w")
     _trap_the_work(monkeypatch)
     rc, out, err = run_cli(capsys, *argv, str(path))
     assert (rc, out, err) == (EXIT_IO, "", f"i/o error: {opened.value}\n")
-    assert [p.name for p in tmp_path.iterdir()] == ["a_file"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a_file", "dangling", "loop"]
     assert (tmp_path / "a_file").read_text() == "kept\n"
 
 @pytest.mark.parametrize("exists", [True, False], ids=["file", "new file"])
 def test_an_unwritable_output_path_exits_3_before_the_work(capsys, monkeypatch, tmp_path,
                                                            exists):
-    # os.access stands in for the permission bits, which do not stop root.
+    # A faked os.open stands in for the permission bits, which do not stop root.
     path = tmp_path / "out.json"
     if exists:
         path.write_text("kept\n")
+
+    def refuse(name, *args, **kwargs):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), name)
+
     _trap_the_work(monkeypatch)
-    monkeypatch.setattr(os, "access", lambda *args: False)
+    monkeypatch.setattr(os, "open", refuse)
     rc, out, err = run_cli(capsys, "verify", "--section", "lemmas", "--out", str(path))
     assert (rc, out) == (EXIT_IO, "")
     assert err == f"i/o error: [Errno 13] Permission denied: '{path}'\n"
     assert path.exists() is exists
+
+def test_a_symlink_to_a_new_file_passes_and_creates_nothing(capsys, tmp_path):
+    link = tmp_path / "link.csv"
+    link.symlink_to("target.csv")
+    cli._check_destination(str(link))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv"]
+    rc, _, _ = run_cli(capsys, "curve", "--lambdas", "0.5", "--rhos", "0.1", "--out", str(link))
+    assert rc == EXIT_OK
+    assert (tmp_path / "target.csv").read_text().startswith("lambda,rho,bound,ratio\n")
+
+@pytest.mark.parametrize("exists", [True, False], ids=["file", "new file"])
+def test_an_output_path_is_untouched_by_a_run_that_exits_2(capsys, tmp_path, exists):
+    # The bad lambda is refused by the bound, after the destination check.
+    path = tmp_path / "curve.csv"
+    if exists:
+        path.write_text("kept\n")
+        os.utime(path, ns=(1_000_000_000, 1_000_000_000))
+    rc, out, err = run_cli(capsys, "curve", "--lambdas", "1.5", "--rhos", "0.1",
+                           "--out", str(path))
+    assert (rc, out) == (EXIT_INPUT, "")
+    assert err.startswith("error: ")
+    if exists:
+        assert path.read_text() == "kept\n"
+        assert path.stat().st_mtime_ns == 1_000_000_000
+    else:
+        assert not path.exists()
+
+def test_a_fifo_with_no_reader_passes_without_blocking(tmp_path):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    checked = threading.Thread(target=cli._check_destination, args=(str(fifo),), daemon=True)
+    checked.start()
+    checked.join(timeout=10)
+    if checked.is_alive():  # a blocking open: attach a reader to release it
+        os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+    assert not checked.is_alive()
+
+def test_a_fifo_whose_reader_attaches_late_receives_the_curve(capsys, tmp_path):
+    fifo, plain = tmp_path / "fifo", tmp_path / "plain.csv"
+    os.mkfifo(fifo)
+    argv = ["curve", "--lambdas", "0.5", "--rhos", "0.1,0.2", "--out"]
+    assert run_cli(capsys, *argv, str(plain))[0] == EXIT_OK
+    codes = []
+    writer = threading.Thread(target=lambda: codes.append(main(argv + [str(fifo)])))
+    writer.start()
+    time.sleep(0.2)  # the writer passes the check and blocks in its open, waiting
+
+    def release():  # should the writer never open, a reader blocked in open gets EOF
+        with contextlib.suppress(OSError):
+            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+
+    watchdog = threading.Timer(10, release)
+    watchdog.start()
+    with open(fifo, encoding="utf-8") as fh:
+        received = fh.read()
+    watchdog.cancel()
+    writer.join(timeout=10)
+    assert codes == [EXIT_OK]
+    assert received == plain.read_text()
 
 def test_simulate_log_appends_to_an_existing_file(capsys, tmp_path):
     log, fresh = tmp_path / "runs.csv", tmp_path / "fresh.csv"
@@ -754,7 +827,10 @@ def test_verify_all_covers_every_section(capsys):
                  "section lemma_expect_rejections:", "section lemma_expect_loo:"):
         assert name in out
 
-def test_simulate_one_replication_exits_2_naming_the_count(capsys, tmp_path):
+def test_simulate_one_replication_exits_2_naming_the_count(capsys, monkeypatch, tmp_path):
+    def trap(*args, **kwargs):
+        raise AssertionError("a replication was drawn before the count was refused")
+    monkeypatch.setattr(simulator, "_sample_block", trap)
     log = tmp_path / "campaigns.csv"
     with warnings.catch_warnings():
         warnings.simplefilter("error")       # no numpy RuntimeWarning either

@@ -7,10 +7,43 @@ Then run_mc must sit within 4 standard errors of it.  The seeds were fixed
 before the first run; a miss is a finding, not something to re-seed.
 """
 
+import numpy as np
 import pytest
+from numpy.polynomial.hermite_e import hermegauss
+from scipy.special import gammaln, xlog1py, xlogy
 
-from exact_fdr import bh_all_null_fdr
+from exact_fdr import bh_all_null_fdr, bh_no_rejection_given_x0, bh_null_cdf
 from gbh_fdr import SimConfig, run_mc
+
+
+def no_rejection_by_moves(m, alpha, rho, x0):
+    """The dynamic program one move at a time: from each state j to every
+    j + i <= k - 1 with its binomial chance in log space.  The reference
+    for the vectorized bh_no_rejection_given_x0; O(m^2) Python steps."""
+    log_fact = gammaln(np.arange(m + 1) + 1.0)
+    cdf = bh_null_cdf(np.arange(m + 1)[:, None] * alpha / m, rho, x0[None, :])
+    state = np.zeros((x0.size, m + 1))
+    state[:, 0] = 1.0
+    for k in range(1, m + 1):
+        above = 1.0 - cdf[k - 1]
+        q = np.divide(cdf[k] - cdf[k - 1], above, out=np.ones_like(above),
+                      where=above > 0.0)[:, None]
+        new = np.zeros_like(state)
+        for j in range(k):
+            n, i = m - j, np.arange(k - j)
+            log_pmf = (log_fact[n] - log_fact[i] - log_fact[n - i]
+                       + xlogy(i, q) + xlog1py(n - i, -q))
+            new[:, j:k] += state[:, j:j + 1] * np.exp(log_pmf)
+        state = new
+    return state.sum(axis=1)
+
+@pytest.mark.parametrize("m", [1, 5, 20, 200])
+@pytest.mark.parametrize("rho", [0.0, 0.1, 0.3])
+def test_the_vectorized_program_equals_the_one_move_at_a_time(m, rho):
+    # Six of the 80 nodes bh_all_null_fdr integrates over, both ends among them.
+    x0 = hermegauss(80)[0][[0, 20, 39, 40, 59, 79]]
+    np.testing.assert_allclose(bh_no_rejection_given_x0(m, 0.05, rho, x0),
+                               no_rejection_by_moves(m, 0.05, rho, x0), rtol=0.0, atol=1e-12)
 
 
 def test_exact_bh_fdr_is_alpha_under_independence():

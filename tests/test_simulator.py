@@ -260,7 +260,10 @@ def test_run_mc_thread_count_invariant():
     assert s1.power_hat == s4.power_hat
     assert s1.bound_value == s4.bound_value
 
-def test_one_replication_has_no_standard_error():
+def test_one_replication_has_no_standard_error(monkeypatch):
+    def trap(*args, **kwargs):
+        raise AssertionError("a replication was drawn before the count was refused")
+    monkeypatch.setattr("gbh_fdr.simulator._sample_block", trap)
     cfg = small_config(replications=1)
     for run in (lambda: run_mc(cfg), lambda: run_mc_conditional(cfg, 0.5)):
         with pytest.raises(ValueError) as exc:

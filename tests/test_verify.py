@@ -296,11 +296,17 @@ def test_loo_expectation_independent_constant_h_analytic():
 
 @pytest.mark.parametrize("check, args", [(check_rejection_expectation, (0.0, 0.01)),
                                          (check_loo_expectation, (0.0, "paper_h"))])
-def test_expectation_checks_need_two_replications(check, args):
-    # One replication has no standard error: std(ddof=1) would be NaN.
-    with pytest.raises(ValueError, match=r"^a Monte Carlo standard error needs at "
-                                         r"least 2 replications, got 1$"):
-        check(lemma_config(replications=1), *args)
+def test_expectation_checks_need_two_replications(monkeypatch, check, args):
+    # One replication has no standard error: std(ddof=1) would be NaN.  The
+    # traps show that the count is refused before anything is drawn or run.
+    def trap(*a, **k):
+        raise AssertionError("the audit drew or ran before refusing the count")
+    with monkeypatch.context() as patched:
+        for name in ("stream_uniforms", "gbh1"):
+            patched.setattr(verify, name, trap)
+        with pytest.raises(ValueError, match=r"^a Monte Carlo standard error needs at "
+                                             r"least 2 replications, got 1$"):
+            check(lemma_config(replications=1), *args)
     rep = check(lemma_config(replications=2), *args)
     assert all(math.isfinite(v) for v in rep.stderr)
 
