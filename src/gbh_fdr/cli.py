@@ -15,10 +15,10 @@ import argparse
 import contextlib
 import csv
 import dataclasses
-import errno
 import json
 import math
 import os
+import stat
 import sys
 from itertools import compress, islice, repeat
 
@@ -82,8 +82,9 @@ def _check_destination(path) -> None:
     nothing behind: a bad output path then ends a command before its work.
     The OS answers.  A new path is created and removed at once; an existing
     one is opened for writing without truncation; a dangling symlink is
-    checked at its target, which open would create.  A FIFO with no reader
-    passes, since the late open waits for one.  None, for stdout, passes."""
+    checked at its target, which open would create.  A FIFO passes unopened:
+    the probe's close would hand a reader waiting in open an EOF, and the
+    late open waits for a reader itself.  None, for stdout, passes."""
     if path is None:
         return
     try:
@@ -94,15 +95,15 @@ def _check_destination(path) -> None:
         os.unlink(path)
         return
     try:
-        os.close(os.open(path, os.O_WRONLY | os.O_NONBLOCK))
+        mode = os.stat(path).st_mode
     except FileNotFoundError:  # a symlink to a missing file
         try:
             _check_destination(os.path.join(os.path.dirname(path), os.readlink(path)))
         except OSError as exc:
             raise OSError(exc.errno, exc.strerror, path) from None
-    except OSError as exc:
-        if exc.errno != errno.ENXIO:
-            raise
+        return
+    if not stat.S_ISFIFO(mode):
+        os.close(os.open(path, os.O_WRONLY | os.O_NONBLOCK))
 
 
 def cmd_bound(args) -> int:

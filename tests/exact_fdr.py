@@ -24,8 +24,8 @@ With q that step's chance, a move from j to l = j + i has chance
 so the program carries each state times a_j, and a step is a convolution
 with b followed by a factor per landing state: one product of every state
 with a Toeplitz matrix of b, for all nodes at once.  a_j grows from 1 to
-below e^m and b_i is at most e^(q m), so up to m = 350 nothing overflows;
-a b_i that underflows bounds a move chance below the smallest double,
+below e^m and b_i is at most e^(q m), so up to m = M_MAX = 350 nothing
+overflows, and a larger m is refused; a b_i that underflows bounds a move chance below the smallest double,
 since a_j <= a_l.
 """
 
@@ -35,6 +35,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial.hermite_e import hermegauss
 from scipy.special import gammaln, ndtr, ndtri, xlog1py, xlogy
+
+M_MAX = 350  # a_j b_i stays below e^(2m), which overflows past m = 354
 
 
 def bh_null_cdf(t, rho: float, x0):
@@ -47,6 +49,8 @@ def bh_null_cdf(t, rho: float, x0):
 
 def bh_no_rejection_given_x0(m: int, alpha: float, rho: float, x0) -> np.ndarray:
     """P(BH rejects nothing | X0 = x0) for each entry of the 1-d array x0."""
+    if m > M_MAX:
+        raise ValueError(f"m = {m} is above {M_MAX}, where the scaled program can overflow")
     x0 = np.asarray(x0, dtype=float)
     n = np.arange(m + 1)
     log_fact = gammaln(n + 1.0)

@@ -16,10 +16,11 @@ import json
 import math
 import os
 import re
+import select
+import socket
 import subprocess
 import sys
 import threading
-import time
 import warnings
 from pathlib import Path
 
@@ -655,7 +656,8 @@ def _trap_the_work(monkeypatch):
         monkeypatch.setattr(module, name, trap)
 
 @pytest.mark.parametrize("destination", ["missing directory", "directory", "file as directory",
-                                         "name too long", "symlink loop", "dangling symlink"])
+                                         "name too long", "symlink loop", "dangling symlink",
+                                         "socket"])
 @pytest.mark.parametrize("argv", [
     ("simulate", "--config", str(CAMPAIGN_CFG), "--log"),
     ("verify", "--section", "all", "--reps", "400", "--out"),
@@ -667,18 +669,22 @@ def test_a_bad_output_path_exits_3_before_the_work(capsys, monkeypatch, tmp_path
     (tmp_path / "a_file").write_text("kept\n")
     (tmp_path / "loop").symlink_to("loop")
     (tmp_path / "dangling").symlink_to(tmp_path / "no_such_dir" / "out")
+    monkeypatch.chdir(tmp_path)  # a socket's path must fit in sun_path
+    with socket.socket(socket.AF_UNIX) as bound:  # its file outlives it
+        bound.bind("sock")
     path = {"missing directory": tmp_path / "no_such_dir" / "out",
             "directory": tmp_path,
             "file as directory": tmp_path / "a_file" / "out",
             "name too long": tmp_path / ("x" * (os.pathconf(tmp_path, "PC_NAME_MAX") + 1)),
             "symlink loop": tmp_path / "loop",
-            "dangling symlink": tmp_path / "dangling"}[destination]
+            "dangling symlink": tmp_path / "dangling",
+            "socket": tmp_path / "sock"}[destination]
     with pytest.raises(OSError) as opened:
         open(path, "w")
     _trap_the_work(monkeypatch)
     rc, out, err = run_cli(capsys, *argv, str(path))
     assert (rc, out, err) == (EXIT_IO, "", f"i/o error: {opened.value}\n")
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["a_file", "dangling", "loop"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a_file", "dangling", "loop", "sock"]
     assert (tmp_path / "a_file").read_text() == "kept\n"
 
 @pytest.mark.parametrize("exists", [True, False], ids=["file", "new file"])
@@ -735,26 +741,69 @@ def test_a_fifo_with_no_reader_passes_without_blocking(tmp_path):
         os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
     assert not checked.is_alive()
 
-def test_a_fifo_whose_reader_attaches_late_receives_the_curve(capsys, tmp_path):
+def test_a_fifo_with_a_waiting_reader_passes_unopened(tmp_path):
+    # A writer that opens and closes the FIFO leaves the reader at EOF, which
+    # select reports as readable; a reader no writer has reached is not.
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        cli._check_destination(str(fifo))
+        assert select.select([reader], [], [], 0)[0] == []
+    finally:
+        os.close(reader)
+
+def _read_to_eof(reader):
+    """Read a FIFO up to its first EOF, as `cat` would."""
+    received = b""
+    try:
+        while select.select([reader], [], [], 10)[0]:
+            chunk = os.read(reader, 65536)
+            if not chunk:
+                break
+            received += chunk
+    finally:
+        os.close(reader)
+    return received.decode("utf-8")
+
+@pytest.mark.parametrize("reader_first", [True, False], ids=["reader waits first",
+                                                           "reader attaches late"])
+def test_a_fifo_receives_the_curve_whichever_end_opens_first(capsys, monkeypatch, tmp_path,
+                                                             reader_first):
+    # The writer pauses after its check, so the reader sees what the check
+    # left: a reader at EOF then, as `cat` would be, stops reading.
     fifo, plain = tmp_path / "fifo", tmp_path / "plain.csv"
     os.mkfifo(fifo)
     argv = ["curve", "--lambdas", "0.5", "--rhos", "0.1,0.2", "--out"]
     assert run_cli(capsys, *argv, str(plain))[0] == EXIT_OK
+    checked, proceed, check = threading.Event(), threading.Event(), cli._check_destination
+
+    def check_then_pause(path):
+        check(path)
+        checked.set()
+        proceed.wait(timeout=10)
+
+    monkeypatch.setattr(cli, "_check_destination", check_then_pause)
+    if reader_first:
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
     codes = []
-    writer = threading.Thread(target=lambda: codes.append(main(argv + [str(fifo)])))
+    writer = threading.Thread(target=lambda: codes.append(main(argv + [str(fifo)])),
+                              daemon=True)
     writer.start()
-    time.sleep(0.2)  # the writer passes the check and blocks in its open, waiting
-
-    def release():  # should the writer never open, a reader blocked in open gets EOF
-        with contextlib.suppress(OSError):
-            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
-
-    watchdog = threading.Timer(10, release)
-    watchdog.start()
-    with open(fifo, encoding="utf-8") as fh:
-        received = fh.read()
-    watchdog.cancel()
+    assert checked.wait(timeout=10)
+    if not reader_first:
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    at_eof = select.select([reader], [], [], 0)[0] and not os.read(reader, 1)
+    proceed.set()
+    if at_eof:
+        os.close(reader)
+        received = ""
+    else:
+        received = _read_to_eof(reader)
     writer.join(timeout=10)
+    if writer.is_alive():  # blocked in open with no reader: attach one and leave
+        with contextlib.suppress(OSError):
+            os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
     assert codes == [EXIT_OK]
     assert received == plain.read_text()
 

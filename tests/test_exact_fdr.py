@@ -12,7 +12,7 @@ import pytest
 from numpy.polynomial.hermite_e import hermegauss
 from scipy.special import gammaln, xlog1py, xlogy
 
-from exact_fdr import bh_all_null_fdr, bh_no_rejection_given_x0, bh_null_cdf
+from exact_fdr import M_MAX, bh_all_null_fdr, bh_no_rejection_given_x0, bh_null_cdf
 from gbh_fdr import SimConfig, run_mc
 
 
@@ -44,6 +44,15 @@ def test_the_vectorized_program_equals_the_one_move_at_a_time(m, rho):
     x0 = hermegauss(80)[0][[0, 20, 39, 40, 59, 79]]
     np.testing.assert_allclose(bh_no_rejection_given_x0(m, 0.05, rho, x0),
                                no_rejection_by_moves(m, 0.05, rho, x0), rtol=0.0, atol=1e-12)
+
+def test_the_program_refuses_an_m_where_it_could_overflow():
+    # Past M_MAX a state times a move chance can pass the largest double, and
+    # inf * 0 would return nan, which no `not (fdr > bound)` check catches.
+    x0 = hermegauss(80)[0][[0, 79]]
+    with pytest.raises(ValueError, match="above 350"):
+        bh_no_rejection_given_x0(M_MAX + 1, 0.05, 0.1, x0)
+    with pytest.raises(ValueError, match="above 350"):
+        bh_all_null_fdr(M_MAX + 1, 0.05, 0.1)
 
 
 def test_exact_bh_fdr_is_alpha_under_independence():
