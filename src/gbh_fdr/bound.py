@@ -85,8 +85,13 @@ def rho_max() -> float:
     return 1.0 - 1.0 / (a_star * a_star)
 
 
-def _validate_point(lam: float, rho: float, alpha: float,
-                    allow_out_of_domain: bool) -> None:
+def check_point(lam: float, rho: float, alpha: float, *,
+                allow_out_of_domain: bool = False,
+                override: str | None = "the out-of-domain override") -> None:
+    """Raise the DomainError that fdr_bound and fdr_bound_aform raise at
+    (lam, rho, alpha): alpha is checked first, then rho, then lambda.  A
+    refused lambda's message tells how to pass the override, named by
+    override, or names none when override is None."""
     if not (0.0 < alpha < 1.0):
         raise DomainError("alpha", f"alpha={alpha} outside (0, 1)")
     cap = rho_max()
@@ -98,9 +103,29 @@ def _validate_point(lam: float, rho: float, alpha: float,
     # Even the override stops short of lambda = 1, where the first term is 0/0.
     ok = 0.0 < lam < 1.0 if allow_out_of_domain else 0.0 < lam <= 0.5
     if not ok:
-        raise DomainError("lambda", f"lambda={lam} outside " + (
-            "(0, 1)" if allow_out_of_domain else
-            "(0, 0.5] (pass the out-of-domain override to explore lambda > 1/2)"))
+        hint = "" if override is None else f" (pass {override} to explore lambda > 1/2)"
+        raise DomainError("lambda", f"lambda={lam} outside "
+                          + ("(0, 1)" if allow_out_of_domain else "(0, 0.5]" + hint))
+
+
+# (1 - lambda, its quantile) from the last scalar lookup of _upper_quantile.
+_last_upper_quantile = (math.nan, math.nan)
+
+
+def _upper_quantile(lam):
+    """norm_quantile(1.0 - lam), with its bits and errors.  The last scalar
+    answer is kept, since a curve runs lambda-major.  norm_quantile is looked
+    up at each miss, so a wrapper put on this module's name sees every one."""
+    global _last_upper_quantile
+    p = 1.0 - lam
+    if not isinstance(p, float):  # an array, or a scalar of another width
+        return norm_quantile(p)
+    last_p, last_q = _last_upper_quantile
+    if p == last_p:
+        return last_q
+    q = norm_quantile(p)
+    _last_upper_quantile = (p, q)
+    return q
 
 
 def in_theorem_domain(lam: float, rho: float, alpha: float) -> bool:
@@ -177,7 +202,7 @@ def p_lower(lam: float, rho: float, x0: float) -> float:
         raise DomainError("lambda", f"lambda={lam} outside (0, 0.5]")
     a, b = ab_from_rho(rho, x0)
     if b >= 0.0:
-        return norm_cdf(a * norm_quantile(1.0 - lam))
+        return norm_cdf(a * _upper_quantile(lam))
     return phi(-b) / (1.0 - b)
 
 
@@ -187,7 +212,7 @@ def exact_p_conditional(lam: float, rho: float, x0: float) -> float:
     if not (0.0 < lam < 1.0):
         raise DomainError("lambda", f"lambda={lam} outside (0, 1)")
     a, b = ab_from_rho(rho, x0)
-    return norm_cdf(a * norm_quantile(1.0 - lam) + b)
+    return norm_cdf(a * _upper_quantile(lam) + b)
 
 
 def integrals_closed(a: float) -> tuple:
@@ -231,11 +256,11 @@ def fdr_bound(inp: BoundInput, *, allow_out_of_domain: bool = False) -> BoundBre
     all scaled by alpha*(1-lambda).
     """
     lam, rho, alpha = inp.lam, inp.rho, inp.alpha
-    _validate_point(lam, rho, alpha, allow_out_of_domain)
+    check_point(lam, rho, alpha, allow_out_of_domain=allow_out_of_domain)
     s = math.sqrt(1.0 - rho)
     one_minus_s = rho / (1.0 + s)  # 1 - s without cancellation
     c = (3.0 + s) / (2.0 - 5.0 * rho - rho * s)
-    q = norm_quantile(1.0 - lam)
+    q = _upper_quantile(lam)
     pref = alpha * (1.0 - lam)
     sqrt_rho = math.sqrt(rho)
     t1 = pref / (2.0 * s * norm_cdf(q / s))
@@ -263,14 +288,14 @@ def fdr_bound_aform(inp: BoundInput, *, allow_out_of_domain: bool = False) -> Bo
     scaled by alpha*(1-lambda).
     """
     lam, rho, alpha = inp.lam, inp.rho, inp.alpha
-    _validate_point(lam, rho, alpha, allow_out_of_domain)
+    check_point(lam, rho, alpha, allow_out_of_domain=allow_out_of_domain)
     a = 1.0 / math.sqrt(1.0 - rho)
     a2m1 = a * a - 1.0
     two_minus_a2 = 2.0 - a * a
     cubic = _cubic_in_a(a)
     big_q = a2m1 * (3.0 * a + 1.0) / cubic
     sqrt_a2m1 = math.sqrt(a2m1)
-    q = norm_quantile(1.0 - lam)
+    q = _upper_quantile(lam)
     pref = alpha * (1.0 - lam)
     t1 = pref * a / (2.0 * norm_cdf(a * q))
     t2 = pref * SQRT_2PI / (2.0 * math.sqrt(two_minus_a2))
@@ -297,9 +322,10 @@ def bound_curve(lams, rhos, alpha: float) -> list:
     with rho ascending inside each lambda.  The error for a bad rho names
     every one (check_rho_grid); a bad lambda or alpha, the first point."""
     check_rho_grid(rhos)
+    rhos = sorted(rhos)
     rows = []
     for lam in lams:
-        for rho in sorted(rhos):
+        for rho in rhos:
             bd = fdr_bound(BoundInput(lam=lam, rho=rho, alpha=alpha))
             rows.append((float(lam), float(rho), bd.total, bd.total / alpha))
     return rows

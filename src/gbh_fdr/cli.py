@@ -24,7 +24,7 @@ from itertools import compress, islice, repeat
 
 import numpy as np
 
-from .bound import (BoundInput, check_rho_grid, fdr_bound, fdr_bound_aform,
+from .bound import (BoundInput, check_point, check_rho_grid, fdr_bound, fdr_bound_aform,
                     in_theorem_domain)
 from .procedures import GroupedPValues, bh_step_up, gbh1, storey
 from .simulator import ConfigError, PROCEDURES, SimConfig, config_with_updates, run_mc
@@ -107,6 +107,8 @@ def _check_destination(path) -> None:
 
 
 def cmd_bound(args) -> int:
+    check_point(args.lam, args.rho, args.alpha, allow_out_of_domain=args.force,
+                override="--force")
     inp = BoundInput(lam=args.lam, rho=args.rho, alpha=args.alpha)
     bd = fdr_bound(inp, allow_out_of_domain=args.force)
     out = {
@@ -131,14 +133,21 @@ def cmd_curve(args) -> int:
                          f"more than {GRID_MAX_POINTS}")
     check_rho_grid(rhos)
     _check_destination(args.out)
-    lines = ["lambda,rho,bound,ratio"]
+    # A bad lambda or alpha is refused before the file is opened, with the
+    # error the first such point of the lambda-major grid would raise.
     for lam in lams:
-        for rho in sorted(rhos):
-            bd = fdr_bound(BoundInput(lam=lam, rho=rho, alpha=args.alpha))
-            lines.append(f"{lam!r},{rho!r},{bd.total!r},{bd.total / args.alpha!r}")
+        check_point(lam, rhos[0], args.alpha, override=None)
+    rhos = sorted(rhos)
+
+    def rows():
+        for lam in lams:
+            for rho in rhos:
+                total = fdr_bound(BoundInput(lam=lam, rho=rho, alpha=args.alpha)).total
+                yield repr(lam), repr(rho), repr(total), repr(total / args.alpha)
+
     with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-    print(f"wrote {len(lines) - 1} rows to {args.out}")
+        _write_table(fh, ["lambda", "rho", "bound", "ratio"], rows(), unquoted=True)
+    print(f"wrote {len(lams) * len(rhos)} rows to {args.out}")
     return EXIT_OK
 
 

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gbh_fdr import (
+    BoundBreakdown,
     BoundInput,
     DomainError,
     SimConfig,
@@ -36,6 +37,8 @@ from gbh_fdr import (
     run_mc_conditional,
     sup_f,
 )
+from gbh_fdr import bound
+from gbh_fdr.normal import SQRT_2PI
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +389,134 @@ def test_termwise_agreement_property(lam, rho):
     inp = BoundInput(lam, rho, 0.05)
     for x, y in zip(fdr_bound(inp).terms, fdr_bound_aform(inp).terms):
         assert x == pytest.approx(y, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# one remembered quantile(1 - lambda)
+#
+# The four functions of lambda as they were when each looked up
+# norm_quantile(1.0 - lam) itself: the oracle for the shared, remembering
+# lookup.
+
+def _old_validate_point(lam, rho, alpha, allow_out_of_domain):
+    if not (0.0 < alpha < 1.0):
+        raise DomainError("alpha", f"alpha={alpha} outside (0, 1)")
+    cap = rho_max()
+    if not (0.0 < rho < cap):
+        raise DomainError("rho", f"rho={rho} outside (0, {cap:.6f}); the bound's "
+                                 "integrals are finite only below the cubic root")
+    ok = 0.0 < lam < 1.0 if allow_out_of_domain else 0.0 < lam <= 0.5
+    if not ok:
+        raise DomainError("lambda", f"lambda={lam} outside " + (
+            "(0, 1)" if allow_out_of_domain else
+            "(0, 0.5] (pass the out-of-domain override to explore lambda > 1/2)"))
+
+def _old_fdr_bound(inp, *, allow_out_of_domain=False):
+    lam, rho, alpha = inp.lam, inp.rho, inp.alpha
+    _old_validate_point(lam, rho, alpha, allow_out_of_domain)
+    s = math.sqrt(1.0 - rho)
+    one_minus_s = rho / (1.0 + s)
+    c = (3.0 + s) / (2.0 - 5.0 * rho - rho * s)
+    q = norm_quantile(1.0 - lam)
+    pref = alpha * (1.0 - lam)
+    sqrt_rho = math.sqrt(rho)
+    t1 = pref / (2.0 * s * norm_cdf(q / s))
+    t2 = pref * (SQRT_2PI / 2.0) * math.sqrt((1.0 - rho) / (1.0 - 2.0 * rho))
+    t3 = pref * (SQRT_2PI / 2.0) * one_minus_s * math.sqrt(c)
+    t4 = pref * (SQRT_2PI / 8.0) * (1.0 - rho) * (1.0 + s) * c ** 1.5
+    t5 = pref * math.sqrt(rho * (1.0 - rho)) / (1.0 - 2.0 * rho)
+    t6 = pref * sqrt_rho * one_minus_s * c
+    t7 = pref * 0.5 * sqrt_rho * (1.0 - rho) * (1.0 + s) * c * c
+    terms = (t1, t2, t3, t4, t5, t6, t7)
+    return BoundBreakdown(terms=terms, total=math.fsum(terms))
+
+def _old_fdr_bound_aform(inp, *, allow_out_of_domain=False):
+    lam, rho, alpha = inp.lam, inp.rho, inp.alpha
+    _old_validate_point(lam, rho, alpha, allow_out_of_domain)
+    a = 1.0 / math.sqrt(1.0 - rho)
+    a2m1 = a * a - 1.0
+    two_minus_a2 = 2.0 - a * a
+    cubic = 5.0 * a + 1.0 - 3.0 * a ** 3 - a * a
+    big_q = a2m1 * (3.0 * a + 1.0) / cubic
+    sqrt_a2m1 = math.sqrt(a2m1)
+    q = norm_quantile(1.0 - lam)
+    pref = alpha * (1.0 - lam)
+    t1 = pref * a / (2.0 * norm_cdf(a * q))
+    t2 = pref * SQRT_2PI / (2.0 * math.sqrt(two_minus_a2))
+    t3 = pref * (a - 1.0) * (SQRT_2PI / 2.0) * math.sqrt((3.0 * a + 1.0) / cubic)
+    t4 = pref * SQRT_2PI / (8.0 * (a - 1.0) * sqrt_a2m1) * big_q ** 1.5
+    t5 = pref * sqrt_a2m1 / two_minus_a2
+    t6 = pref * (a - 1.0) * sqrt_a2m1 * (3.0 * a + 1.0) / cubic
+    t7 = pref * big_q * big_q / (2.0 * (a - 1.0) * sqrt_a2m1)
+    terms = (t1, t2, t3, t4, t5, t6, t7)
+    return BoundBreakdown(terms=terms, total=math.fsum(terms))
+
+def _old_p_lower(lam, rho, x0):
+    if not (0.0 < lam <= 0.5):
+        raise DomainError("lambda", f"lambda={lam} outside (0, 0.5]")
+    a, b = ab_from_rho(rho, x0)
+    if b >= 0.0:
+        return norm_cdf(a * norm_quantile(1.0 - lam))
+    return phi(-b) / (1.0 - b)
+
+def _old_exact_p_conditional(lam, rho, x0):
+    if not (0.0 < lam < 1.0):
+        raise DomainError("lambda", f"lambda={lam} outside (0, 1)")
+    a, b = ab_from_rho(rho, x0)
+    return norm_cdf(a * norm_quantile(1.0 - lam) + b)
+
+def _bits(value):
+    """A value as its type and exact bits, recursing into breakdowns and tuples."""
+    if isinstance(value, BoundBreakdown):
+        return ("breakdown", _bits(value.terms), _bits(value.total))
+    if isinstance(value, tuple):
+        return tuple(_bits(v) for v in value)
+    return type(value), np.asarray(value, dtype=np.float64).tobytes()
+
+def _outcome(fn, *args, **kwargs):
+    """fn's result as bits, or its error's type and message."""
+    try:
+        return "value", _bits(fn(*args, **kwargs))
+    except Exception as exc:  # every error is compared, whatever its type
+        return "error", type(exc), str(exc)
+
+LAMBDA_KINDS = {"float": float, "np.float64": np.float64, "0-d array": np.array}
+
+# A few shared levels, so that draws revisit a lambda after others, plus the
+# edges and any float at all.
+_lambdas = st.one_of(st.sampled_from([0.05, 0.1, 0.25, 0.5, 0.7, 0.0, 1.0, 1.5, -0.1]),
+                     st.floats(allow_nan=True, allow_infinity=True))
+
+@given(st.lists(st.tuples(_lambdas, st.sampled_from(sorted(LAMBDA_KINDS))),
+                min_size=1, max_size=12),
+       st.sampled_from([0.001, 0.1, 0.3, 0.344, 0.5]), st.floats(-4.0, 4.0),
+       st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_the_remembered_upper_quantile_changes_no_bit(draws, rho, x0, force):
+    for raw, kind in draws:
+        lam = LAMBDA_KINDS[kind](raw)
+        assert _outcome(bound._upper_quantile, lam) == _outcome(norm_quantile, 1.0 - lam)
+        inp = BoundInput(lam, rho, 0.05)
+        assert (_outcome(fdr_bound, inp, allow_out_of_domain=force)
+                == _outcome(_old_fdr_bound, inp, allow_out_of_domain=force))
+        assert (_outcome(fdr_bound_aform, inp, allow_out_of_domain=force)
+                == _outcome(_old_fdr_bound_aform, inp, allow_out_of_domain=force))
+        assert _outcome(p_lower, lam, rho, x0) == _outcome(_old_p_lower, lam, rho, x0)
+        assert (_outcome(exact_p_conditional, lam, rho, x0)
+                == _outcome(_old_exact_p_conditional, lam, rho, x0))
+
+def test_the_upper_quantile_is_looked_up_at_each_miss(monkeypatch):
+    seen = []
+
+    def counted(p):
+        seen.append(p)
+        return norm_quantile(p)
+
+    monkeypatch.setattr(bound, "_last_upper_quantile", (math.nan, math.nan))
+    monkeypatch.setattr(bound, "norm_quantile", counted)
+    for lam in (0.1, 0.1, np.float64(0.1), np.array(0.1), 0.2, 0.1, 0.1):
+        fdr_bound(BoundInput(lam, 0.2, 0.05))
+    assert seen == [0.9, 0.8, 0.9]
 
 
 # ---------------------------------------------------------------------------

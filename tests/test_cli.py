@@ -21,6 +21,7 @@ import socket
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -268,6 +269,61 @@ def test_curve_grid_total_is_capped_before_evaluation(capsys, tmp_path, monkeypa
     assert (rc, out) == (EXIT_INPUT, "")
     assert err == "error: --lambdas x --rhos is 2 x 6 points, more than 11\n"
     assert evaluated == [] and not out_path.exists()
+
+# sha256 of the file curve writes, frozen when every line was still joined in
+# memory before one write: streaming the rows must not move a byte.
+@pytest.mark.parametrize("argv, digest", [
+    ((), "7b094a351bd4356b964afcda264f79e959b46d12a69b048755bbedde2a06a2b9"),
+    # the benchmark's 50 x 688 grid at its seed-0 alpha; the same digest is
+    # pinned in perfbench/digests.json
+    (("--lambdas", "0.01:0.5:0.01", "--rhos", "0.0005:0.344:0.0005", "--alpha", "0.0576"),
+     "917474f3efb0e366488692badf973a42fa69103981a7e252fe92a0329227a353"),
+    (("--lambdas", "0.5,0.05,0.25", "--rhos", "0.3,0.1,0.2,0.001,0.34,0.1"),
+     "c9db711a5d652a9387eab2c8ef8577629ed93aeb6c5c01db61e226453e27d586"),
+], ids=["default", "bound_grid", "unsorted"])
+def test_curve_bytes_are_frozen(capsys, tmp_path, argv, digest):
+    out_path = tmp_path / "c.csv"
+    rc, out, err = run_cli(capsys, "curve", *argv, "--out", str(out_path))
+    rows = out_path.read_bytes().count(b"\n") - 1
+    assert (rc, out, err) == (EXIT_OK, f"wrote {rows} rows to {out_path}\n", "")
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
+
+def test_curve_memory_does_not_grow_with_the_grid(tmp_path):
+    # Rows go out a chunk at a time: eight times the points may not take
+    # half a MiB more at the traced peak (holding every line took 6.7 more).
+    def traced_peak(rhos):
+        tracemalloc.start()
+        try:
+            assert main(["curve", "--lambdas", "0.01:0.5:0.01", "--rhos", rhos,
+                         "--out", str(tmp_path / "c.csv")]) == EXIT_OK
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small = traced_peak("0.0025:0.25:0.0025")   # 50 x 100 points
+    large = traced_peak("0.0004:0.32:0.0004")   # 50 x 800 points
+    assert len((tmp_path / "c.csv").read_text().splitlines()) == 1 + 40_000
+    assert large - small < 0.5 * 2 ** 20
+
+@pytest.mark.parametrize("argv, err", [
+    (("bound", "--lambda", "0.7", "--rho", "0.1", "--alpha", "0.05"),
+     "error: lambda=0.7 outside (0, 0.5] (pass --force to explore lambda > 1/2)\n"),
+    # alpha, then rho, then lambda, as the bound checks them
+    (("bound", "--lambda", "0.7", "--rho", "0.5", "--alpha", "0.05"),
+     "error: rho=0.5 outside (0, 0.344247); the bound's integrals are finite only "
+     "below the cubic root\n"),
+    (("bound", "--lambda", "0.7", "--rho", "0.5", "--alpha", "1.5"),
+     "error: alpha=1.5 outside (0, 1)\n"),
+    (("curve", "--lambdas", "0.3,0.7", "--rhos", "0.1"),
+     "error: lambda=0.7 outside (0, 0.5]\n"),
+    (("curve", "--lambdas", "0.3,nan,0.7", "--rhos", "0.1"),
+     "error: lambda=nan outside (0, 0.5]\n"),
+], ids=["bound", "bound-rho-first", "bound-alpha-first", "curve", "curve-nan"])
+def test_a_refused_lambda_names_the_commands_own_override(capsys, tmp_path, argv, err):
+    # bound's override is --force; curve has none to name.
+    extra = ("--out", str(tmp_path / "c.csv")) if argv[0] == "curve" else ()
+    assert run_cli(capsys, *argv, *extra) == (EXIT_INPUT, "", err)
+    assert not (tmp_path / "c.csv").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -716,7 +772,8 @@ def test_a_symlink_to_a_new_file_passes_and_creates_nothing(capsys, tmp_path):
 
 @pytest.mark.parametrize("exists", [True, False], ids=["file", "new file"])
 def test_an_output_path_is_untouched_by_a_run_that_exits_2(capsys, tmp_path, exists):
-    # The bad lambda is refused by the bound, after the destination check.
+    # The bad lambda is refused by the bound's check_point, after the
+    # destination check and before the file is opened.
     path = tmp_path / "curve.csv"
     if exists:
         path.write_text("kept\n")
@@ -730,6 +787,54 @@ def test_an_output_path_is_untouched_by_a_run_that_exits_2(capsys, tmp_path, exi
         assert path.stat().st_mtime_ns == 1_000_000_000
     else:
         assert not path.exists()
+
+# A curve's refused lambda or alpha: the exit code and message of the first
+# point the bound refuses, as when every point was evaluated before the open.
+CURVE_REFUSALS = {
+    "lambda": (("--lambdas", "0.1,0.7"), "error: lambda=0.7 outside (0, 0.5]\n"),
+    "alpha": (("--alpha", "1.5"), "error: alpha=1.5 outside (0, 1)\n"),
+}
+
+@pytest.mark.parametrize("destination", ["file", "new file", "fifo", "fifo with a reader"])
+@pytest.mark.parametrize("refused", CURVE_REFUSALS)
+def test_a_refused_curve_never_opens_its_output(capsys, tmp_path, refused, destination):
+    grid, message = CURVE_REFUSALS[refused]
+    path, reader = tmp_path / "out", None
+    if destination == "file":
+        path.write_text("kept\n")
+        os.utime(path, ns=(1_000_000_000, 1_000_000_000))
+    elif destination.startswith("fifo"):
+        os.mkfifo(path)
+        if destination == "fifo with a reader":
+            reader = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+    codes = []
+    run = threading.Thread(target=lambda: codes.append(main(["curve", *grid, "--out", str(path)])),
+                           daemon=True)
+    try:
+        run.start()
+        run.join(timeout=10)
+        if run.is_alive():  # blocked opening a FIFO with no reader: release it
+            os.close(os.open(path, os.O_RDONLY | os.O_NONBLOCK))
+            run.join(timeout=10)
+        # a writer that opened and closed the FIFO would leave the reader at EOF
+        assert reader is None or select.select([reader], [], [], 0)[0] == []
+    finally:
+        if reader is not None:
+            os.close(reader)
+    captured = capsys.readouterr()
+    assert (codes, captured.out, captured.err) == ([EXIT_INPUT], "", message)
+    if destination == "file":
+        assert path.read_text() == "kept\n"
+        assert path.stat().st_mtime_ns == 1_000_000_000
+    assert path.exists() is (destination != "new file")
+
+@pytest.mark.parametrize("refused", CURVE_REFUSALS)
+def test_a_bad_output_path_outranks_a_refused_curve(capsys, tmp_path, refused):
+    grid, _ = CURVE_REFUSALS[refused]
+    path = tmp_path / "no_such_dir" / "out"
+    rc, out, err = run_cli(capsys, "curve", *grid, "--out", str(path))
+    assert (rc, out) == (EXIT_IO, "")
+    assert err == f"i/o error: [Errno 2] No such file or directory: '{path}'\n"
 
 def test_a_fifo_with_no_reader_passes_without_blocking(tmp_path):
     fifo = tmp_path / "fifo"
