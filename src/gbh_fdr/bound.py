@@ -108,24 +108,20 @@ def check_point(lam: float, rho: float, alpha: float, *,
                           + ("(0, 1)" if allow_out_of_domain else "(0, 0.5]" + hint))
 
 
-# (1 - lambda, its quantile) from the last scalar lookup of _upper_quantile.
-_last_upper_quantile = (math.nan, math.nan)
+@lru_cache(maxsize=1)
+def _float_quantile(p: float) -> float:
+    """norm_quantile(p) for a float p, kept for the last p, since a curve runs
+    lambda-major.  norm_quantile is looked up at each miss, so a wrapper put
+    on this module's name sees every one."""
+    return norm_quantile(p)
 
 
 def _upper_quantile(lam):
-    """norm_quantile(1.0 - lam), with its bits and errors.  The last scalar
-    answer is kept, since a curve runs lambda-major.  norm_quantile is looked
-    up at each miss, so a wrapper put on this module's name sees every one."""
-    global _last_upper_quantile
+    """norm_quantile(1.0 - lam), with its bits and errors."""
     p = 1.0 - lam
     if not isinstance(p, float):  # an array, or a scalar of another width
         return norm_quantile(p)
-    last_p, last_q = _last_upper_quantile
-    if p == last_p:
-        return last_q
-    q = norm_quantile(p)
-    _last_upper_quantile = (p, q)
-    return q
+    return _float_quantile(p)
 
 
 def in_theorem_domain(lam: float, rho: float, alpha: float) -> bool:
@@ -308,24 +304,23 @@ def fdr_bound_aform(inp: BoundInput, *, allow_out_of_domain: bool = False) -> Bo
     return BoundBreakdown(terms=terms, total=math.fsum(terms))
 
 
-def check_rho_grid(rhos) -> None:
-    """Raise DomainError naming every rho of the grid outside (0, rho_max())."""
+def curve_points(lams, rhos, alpha: float):
+    """Iterator over the grid's (lambda, rho), lambda-major with rho ascending.
+    A bad grid is refused before it is returned: one DomainError names every
+    rho outside (0, rho_max()), then each lambda and alpha is checked at the
+    first rho, naming no override.  An empty grid checks no lambda."""
     cap = rho_max()
     bad = [r for r in rhos if not (0.0 < r < cap)]
     if bad:
         raise DomainError("rho", "rho grid outside (0, %.6f): %s"
                           % (cap, ", ".join(repr(r) for r in bad)))
+    lams, rhos = list(lams), sorted(rhos)
+    for lam in lams if rhos else ():
+        check_point(lam, rhos[0], alpha, override=None)
+    return ((lam, rho) for lam in lams for rho in rhos)
 
 
 def bound_curve(lams, rhos, alpha: float) -> list:
-    """Rows (lambda, rho, bound, bound/alpha) over the grid, lambda-major
-    with rho ascending inside each lambda.  The error for a bad rho names
-    every one (check_rho_grid); a bad lambda or alpha, the first point."""
-    check_rho_grid(rhos)
-    rhos = sorted(rhos)
-    rows = []
-    for lam in lams:
-        for rho in rhos:
-            bd = fdr_bound(BoundInput(lam=lam, rho=rho, alpha=alpha))
-            rows.append((float(lam), float(rho), bd.total, bd.total / alpha))
-    return rows
+    """Rows (lambda, rho, bound, bound/alpha) over curve_points' grid."""
+    return [(float(lam), float(rho), (total := fdr_bound(BoundInput(lam, rho, alpha)).total),
+             total / alpha) for lam, rho in curve_points(lams, rhos, alpha)]

@@ -24,7 +24,7 @@ from itertools import compress, islice, repeat
 
 import numpy as np
 
-from .bound import (BoundInput, check_point, check_rho_grid, fdr_bound, fdr_bound_aform,
+from .bound import (BoundInput, check_point, curve_points, fdr_bound, fdr_bound_aform,
                     in_theorem_domain)
 from .procedures import GroupedPValues, bh_step_up, gbh1, storey
 from .simulator import ConfigError, PROCEDURES, SimConfig, config_with_updates, run_mc
@@ -131,19 +131,13 @@ def cmd_curve(args) -> int:
     if len(lams) * len(rhos) > GRID_MAX_POINTS:
         raise ValueError(f"--lambdas x --rhos is {len(lams)} x {len(rhos)} points, "
                          f"more than {GRID_MAX_POINTS}")
-    check_rho_grid(rhos)
     _check_destination(args.out)
-    # A bad lambda or alpha is refused before the file is opened, with the
-    # error the first such point of the lambda-major grid would raise.
-    for lam in lams:
-        check_point(lam, rhos[0], args.alpha, override=None)
-    rhos = sorted(rhos)
+    points = curve_points(lams, rhos, args.alpha)  # a bad grid is refused before the open
 
     def rows():
-        for lam in lams:
-            for rho in rhos:
-                total = fdr_bound(BoundInput(lam=lam, rho=rho, alpha=args.alpha)).total
-                yield repr(lam), repr(rho), repr(total), repr(total / args.alpha)
+        for lam, rho in points:
+            total = fdr_bound(BoundInput(lam=lam, rho=rho, alpha=args.alpha)).total
+            yield repr(lam), repr(rho), repr(total), repr(total / args.alpha)
 
     with open(args.out, "w", encoding="utf-8") as fh:
         _write_table(fh, ["lambda", "rho", "bound", "ratio"], rows(), unquoted=True)

@@ -512,7 +512,7 @@ def test_the_upper_quantile_is_looked_up_at_each_miss(monkeypatch):
         seen.append(p)
         return norm_quantile(p)
 
-    monkeypatch.setattr(bound, "_last_upper_quantile", (math.nan, math.nan))
+    bound._float_quantile.cache_clear()
     monkeypatch.setattr(bound, "norm_quantile", counted)
     for lam in (0.1, 0.1, np.float64(0.1), np.array(0.1), 0.2, 0.1, 0.1):
         fdr_bound(BoundInput(lam, 0.2, 0.05))
@@ -552,3 +552,31 @@ def test_curve_names_every_bad_rho():
     with pytest.raises(DomainError, match=r"^rho grid outside \(0, 0\.344247\): 0\.35, -0\.1$") as info:
         bound_curve([0.5], [0.1, 0.35, -0.1], 0.05)
     assert info.value.constraint == "rho"
+
+def test_curve_points_refuses_the_grid_before_it_is_returned(monkeypatch):
+    def trap(*args, **kwargs):
+        raise AssertionError("a point was evaluated")
+
+    monkeypatch.setattr(bound, "fdr_bound", trap)
+    # every bad rho is named before the bad lambda and the bad alpha
+    with pytest.raises(DomainError, match=r"^rho grid outside \(0, 0\.344247\): 0\.35, -0\.1$"):
+        bound.curve_points([0.1, 0.7], [0.1, 0.35, -0.1], 1.5)
+    # alpha at the first lambda, then each lambda in turn, with no override named
+    with pytest.raises(DomainError, match=r"^alpha=1\.5 outside \(0, 1\)$"):
+        bound.curve_points([0.1, 0.7], [0.2, 0.1], 1.5)
+    with pytest.raises(DomainError, match=r"^lambda=0\.7 outside \(0, 0\.5\]$") as info:
+        bound.curve_points([0.1, 0.7, 0.2], [0.2, 0.1], 0.05)
+    assert info.value.constraint == "lambda"
+    with pytest.raises(DomainError, match=r"^lambda=0\.7 outside \(0, 0\.5\]$"):
+        bound_curve([0.1, 0.7], [0.1], 0.05)
+
+def test_curve_points_is_lazy_and_lambda_major():
+    points = bound.curve_points(iter([0.5, 0.1]), [0.3, 0.1, 0.3], 0.05)
+    assert iter(points) is points
+    assert list(points) == [(0.5, 0.1), (0.5, 0.3), (0.5, 0.3),
+                            (0.1, 0.1), (0.1, 0.3), (0.1, 0.3)]
+
+@pytest.mark.parametrize("lams, rhos", [([], [0.1]), ([0.7, math.nan], []), ([], [])])
+def test_an_empty_curve_grid_yields_nothing_and_checks_no_lambda(lams, rhos):
+    assert list(bound.curve_points(lams, rhos, 1.5)) == []
+    assert bound_curve(lams, rhos, 1.5) == []

@@ -325,6 +325,29 @@ def test_a_refused_lambda_names_the_commands_own_override(capsys, tmp_path, argv
     assert run_cli(capsys, *argv, *extra) == (EXIT_INPUT, "", err)
     assert not (tmp_path / "c.csv").exists()
 
+def test_curve_writes_the_rows_of_bound_curve(capsys, tmp_path):
+    out_path = tmp_path / "c.csv"
+    rc, _, _ = run_cli(capsys, "curve", "--lambdas", "0.05,0.3,0.5",
+                       "--rhos", "0.2,0.01,0.3,0.2", "--alpha", "0.1", "--out", str(out_path))
+    assert rc == EXIT_OK
+    rows = gbh_fdr.bound_curve([0.05, 0.3, 0.5], [0.2, 0.01, 0.3, 0.2], 0.1)
+    assert len(rows) == 12
+    assert out_path.read_text().splitlines()[1:] == [",".join(map(repr, r)) for r in rows]
+
+@pytest.mark.parametrize("lams, rhos, alpha", [
+    ([0.1, 0.5], [0.1, 0.35, 0.2, 0.4], 0.05),
+    ([0.1, 0.7, 0.5], [0.2, 0.1], 0.05),
+    ([0.1, 0.5], [0.2, 0.1], 1.5),
+], ids=["rho", "lambda", "alpha"])
+def test_curve_and_bound_curve_refuse_a_grid_alike(capsys, tmp_path, lams, rhos, alpha):
+    with pytest.raises(gbh_fdr.DomainError) as refused:
+        gbh_fdr.bound_curve(lams, rhos, alpha)
+    rc, out, err = run_cli(capsys, "curve", "--lambdas", ",".join(map(repr, lams)),
+                           "--rhos", ",".join(map(repr, rhos)), "--alpha", repr(alpha),
+                           "--out", str(tmp_path / "c.csv"))
+    assert (rc, out, err) == (EXIT_INPUT, "", f"error: {refused.value}\n")
+    assert not (tmp_path / "c.csv").exists()
+
 
 # ---------------------------------------------------------------------------
 # simulate
@@ -772,7 +795,7 @@ def test_a_symlink_to_a_new_file_passes_and_creates_nothing(capsys, tmp_path):
 
 @pytest.mark.parametrize("exists", [True, False], ids=["file", "new file"])
 def test_an_output_path_is_untouched_by_a_run_that_exits_2(capsys, tmp_path, exists):
-    # The bad lambda is refused by the bound's check_point, after the
+    # The bad lambda is refused by the bound's curve_points, after the
     # destination check and before the file is opened.
     path = tmp_path / "curve.csv"
     if exists:
@@ -788,9 +811,10 @@ def test_an_output_path_is_untouched_by_a_run_that_exits_2(capsys, tmp_path, exi
     else:
         assert not path.exists()
 
-# A curve's refused lambda or alpha: the exit code and message of the first
-# point the bound refuses, as when every point was evaluated before the open.
+# A curve's refused rho, lambda or alpha: the exit code and message of
+# bound.curve_points, which refuses the whole grid before the open.
 CURVE_REFUSALS = {
+    "rho": (("--rhos", "0.1,0.35"), "error: rho grid outside (0, 0.344247): 0.35\n"),
     "lambda": (("--lambdas", "0.1,0.7"), "error: lambda=0.7 outside (0, 0.5]\n"),
     "alpha": (("--alpha", "1.5"), "error: alpha=1.5 outside (0, 1)\n"),
 }
