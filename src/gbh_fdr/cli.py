@@ -12,12 +12,12 @@ key/column order, so identical invocations produce byte-identical bytes.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import dataclasses
 import json
 import math
 import os
+import re
 import stat
 import sys
 from itertools import compress, islice, repeat
@@ -194,44 +194,52 @@ def flag_updates(values: dict) -> dict:
     return updates
 
 
-@contextlib.contextmanager
-def open_utf8(path, newline=None):
-    """open(path) as UTF-8 text; a leading byte-order mark is skipped, not
-    read as text.  A byte that is not UTF-8 raises ConfigError naming
-    path:line, lines ending at \\n, \\r\\n or \\r as in text mode."""
-    with open(path, "r", encoding="utf-8-sig", newline=newline) as fh:
-        try:
-            yield fh
-        except UnicodeDecodeError:
-            with open(path, "rb") as raw:
-                data = raw.read()
-            try:
-                data.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                head = data[:exc.start].replace(b"\r\n", b"\n")
-                line = head.count(b"\n") + head.count(b"\r") + 1
-                raise ConfigError(f"{path}:{line}: byte 0x{data[exc.start]:02x} is not UTF-8") from None
-            raise
+# A line and its end (\n, \r\n or \r), as a file opened with newline="" reads
+# it.  The readers' lines and an error's line number both come from it.
+_LINE = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
+
+
+def _read_utf8(path) -> tuple:
+    """(text, error): path read once and decoded as UTF-8, a leading
+    byte-order mark skipped.  error is None, or the ConfigError naming the
+    path:line of the first byte that is not UTF-8; text then holds only the
+    lines before that byte's line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8").removeprefix("\ufeff"), None
+    except UnicodeDecodeError as exc:  # utf-8-sig's offset would leave out the mark
+        head = data[:exc.start].decode("utf-8").removeprefix("\ufeff")
+        text = head[:max(head.rfind("\n"), head.rfind("\r")) + 1]
+        line = len(_LINE.findall(text)) + 1
+        return text, ConfigError(f"{path}:{line}: byte 0x{data[exc.start]:02x} is not UTF-8")
+
+
+def _lines(text: str, error):
+    """The lines of text, then error raised if there is one: a reader meets
+    a bad byte only after every line before it."""
+    yield from map(re.Match.group, _LINE.finditer(text))
+    if error is not None:
+        raise error
 
 
 def load_config_file(path) -> dict:
     """Parse a flat key=value file ('#' starts a comment) into field updates."""
     updates = {}
-    with open_utf8(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, raw = (part.strip() for part in line.split("=", 1))
-            if key not in _CONFIG_KEYS:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            field, parse = _CONFIG_KEYS[key]
-            try:
-                updates[field] = parse(raw)
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
+    for lineno, line in enumerate(_lines(*_read_utf8(path)), start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, raw = (part.strip() for part in line.split("=", 1))
+        if key not in _CONFIG_KEYS:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        field, parse = _CONFIG_KEYS[key]
+        try:
+            updates[field] = parse(raw)
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
     return updates
 
 
@@ -291,11 +299,11 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _read_csv_rows(fh, path, need_group: bool) -> tuple:
-    """(header, rows, pvalues, labels) by csv.reader over the open file fh:
-    the reference reading, and the one that reports errors.  Errors carry
-    1-based physical line numbers."""
-    reader = csv.reader(fh)
+def _read_csv_rows(lines, path, need_group: bool) -> tuple:
+    """(header, rows, pvalues) by csv.reader over lines, as _lines gives
+    them: the reference reading, and the one that reports errors, in file
+    order.  Errors carry 1-based physical line numbers."""
+    reader = csv.reader(lines)
     try:
         try:
             header = next(reader)
@@ -307,12 +315,11 @@ def _read_csv_rows(fh, path, need_group: bool) -> tuple:
         if need_group and "group" not in cols:
             raise ValueError(f"{path}:1: the grouped procedure needs a 'group' column")
         p_idx = cols.index("pvalue")
-        g_idx = cols.index("group") if "group" in cols else None
-        rows, pvals, labels = [], [], []
+        rows, pvals = [], []
         for row in reader:
             # The physical line the record ends on: a quoted field may span lines.
             lineno = reader.line_num
-            if not row or all(not c.strip() for c in row):
+            if not "".join(row).strip():  # blank: no fields, or only whitespace
                 continue
             if len(row) != len(cols):
                 raise ValueError(f"{path}:{lineno}: expected {len(cols)} fields, got {len(row)}")
@@ -323,20 +330,19 @@ def _read_csv_rows(fh, path, need_group: bool) -> tuple:
             if math.isnan(p) or not (0.0 <= p <= 1.0):
                 raise ValueError(f"{path}:{lineno}: pvalue {p} outside [0, 1]")
             pvals.append(p)
-            labels.append(row[g_idx].strip() if g_idx is not None else "all")
             rows.append(row)
     except csv.Error as exc:  # an over-long field, or a NUL before Python 3.11
         raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    return cols, rows, pvals, labels
+    return cols, rows, pvals
 
 
 def _split_columns(text: str, need_group: bool):
-    """(header, columns, pvalues, labels) of a table that csv.reader would
-    split at every comma, read column by column; None when it might not
-    (a quote, a carriage return or a NUL in the text, or a line longer than
-    a field may be) or when _read_csv_rows would report an error."""
+    """(header, columns, pvalues) of a table that csv.reader would split at
+    every comma, read column by column; None when it might not (a quote, a
+    carriage return or a NUL in the text, or a line longer than a field may
+    be) or when _read_csv_rows would report an error."""
     if not text or '"' in text or "\r" in text or "\0" in text:
         return None
     lines = text.split("\n")
@@ -364,28 +370,21 @@ def _split_columns(text: str, need_group: bool):
         return None
     if not (p.min() >= 0.0 and p.max() <= 1.0):  # NaN fails both
         return None
-    labels = (list(map(str.strip, columns[cols.index("group")])) if "group" in cols
-              else ["all"] * n)
-    return cols, columns, p, labels
+    return cols, columns, p
 
 
 def _read_pvalue_table(path, need_group: bool) -> tuple:
-    """(header, columns, pvalues, labels, unquoted) from a CSV with a pvalue
-    column and, when needed, a group column.  columns holds each column's
-    fields as read; unquoted says that none of them needs quoting on output.
-    A leading byte-order mark is skipped.  Errors carry 1-based physical line
-    numbers."""
-    try:
-        with open(path, encoding="utf-8-sig", newline="") as fh:
-            table = _split_columns(fh.read(), need_group)
-    except UnicodeDecodeError:
-        table = None  # csv.reader reports a bad row before a later bad byte
-    if table is not None:
+    """(header, columns, pvalues, unquoted) from a CSV with a pvalue column
+    and, when needed, a group column.  columns holds each column's fields as
+    read; unquoted says that none of them needs quoting on output.  The file
+    is read once (a pipe serves), a leading byte-order mark skipped; a table
+    the columnar path declines goes through csv.reader over the decoded text.
+    Errors come in file order, with 1-based physical line numbers."""
+    text, error = _read_utf8(path)
+    if error is None and (table := _split_columns(text, need_group)) is not None:
         return (*table, True)
-    # Streamed from the file, so that only the rows are held in memory.
-    with open_utf8(path, newline="") as fh:
-        cols, rows, pvals, labels = _read_csv_rows(fh, path, need_group)
-    return cols, list(zip(*rows)), np.asarray(pvals), labels, False
+    cols, rows, pvals = _read_csv_rows(_lines(text, error), path, need_group)
+    return cols, list(zip(*rows)), np.asarray(pvals), False
 
 
 # Rows per write of an unquoted table: the output is never held whole, and
@@ -413,10 +412,10 @@ def _write_table(fh, header: list, rows, unquoted: bool) -> None:
 def cmd_adjust(args) -> int:
     _check_destination(args.out)
     need_group = args.procedure == "gbh1"
-    cols, columns, p, labels, unquoted = _read_pvalue_table(args.input, need_group)
+    cols, columns, p, unquoted = _read_pvalue_table(args.input, need_group)
     if args.procedure == "gbh1":
-        gp = GroupedPValues.from_labels(p, labels)
-        res = gbh1(gp, args.lam, args.alpha)
+        labels = list(map(str.strip, columns[cols.index("group")]))
+        res = gbh1(GroupedPValues.from_labels(p, labels), args.lam, args.alpha)
     elif args.procedure == "storey":
         res = storey(p, args.lam, args.alpha)
     else:

@@ -2,10 +2,10 @@
 
 Tables that csv.reader would split at every comma are read column by column
 and written with one ",".join per row; everything else goes through
-csv.reader, streaming from the file, and csv.writer.  The row-by-row reader
-and writer that `adjust` used before are kept below as the oracle, and every
-table generated here must give the same exit code, stdout, stderr and --out
-bytes through main().
+csv.reader, over the text of the file read once, and csv.writer.  The
+row-by-row reader and writer that `adjust` used before are kept below as the
+oracle, and every table generated here must give the same exit code, stdout,
+stderr and --out bytes through main().
 """
 
 import contextlib
@@ -13,6 +13,7 @@ import csv
 import io
 import math
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -21,8 +22,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gbh_fdr import cli
-from gbh_fdr.cli import EXIT_INPUT, EXIT_OK, main, open_utf8
+from gbh_fdr.cli import EXIT_INPUT, EXIT_OK, main
 from gbh_fdr.procedures import GroupedPValues, bh_step_up, gbh1, storey
+from gbh_fdr.simulator import ConfigError
 
 LIMIT = csv.field_size_limit()
 
@@ -30,9 +32,20 @@ LIMIT = csv.field_size_limit()
 # ---------------------------------------------------------------------------
 # oracle: the row-by-row reader and writer
 
+def oracle_lines(fh, path):
+    """The lines of fh, opened with errors="surrogateescape": a byte that is
+    not UTF-8 reads as an escape in U+DC80..U+DCFF, and the first one met
+    ends the lines, naming its path:line."""
+    for lineno, line in enumerate(fh, start=1):
+        bad = re.search("[\udc80-\udcff]", line)
+        if bad:
+            raise ConfigError(f"{path}:{lineno}: byte 0x{ord(bad[0]) - 0xdc00:02x} is not UTF-8")
+        yield line
+
+
 def oracle_read(path, need_group: bool) -> tuple:
-    with open_utf8(path, newline="") as fh:
-        reader = csv.reader(fh)
+    with open(path, encoding="utf-8-sig", errors="surrogateescape", newline="") as fh:
+        reader = csv.reader(oracle_lines(fh, path))
         try:
             try:
                 header = next(reader)
@@ -95,7 +108,7 @@ def oracle_run(path, procedure, lam, alpha, out) -> tuple:
     """(exit code, stdout, stderr, --out bytes or None), as main() gives them."""
     try:
         text = oracle_adjust_text(path, procedure, lam, alpha)
-    except ValueError as exc:  # ConfigError, from open_utf8, is one
+    except ValueError as exc:  # ConfigError, from oracle_lines, is one
         return EXIT_INPUT, "", f"error: {exc}\n", None
     if out is None:
         return EXIT_OK, text, "", None
@@ -202,6 +215,20 @@ def test_adjust_matches_the_row_by_row_oracle(text, with_out):
 
 
 # ---------------------------------------------------------------------------
+# the line rule: one pattern splits the text for the readers and numbers the
+# line of a bad byte
+
+LINE_TEXT = st.text(st.one_of(st.sampled_from("a,\r\n\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"),
+                              st.characters()))
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=LINE_TEXT)
+def test_the_line_rule_splits_as_a_file_opened_with_newline_empty(text):
+    assert cli._LINE.findall(text) == io.StringIO(text, newline="").readlines()
+
+
+# ---------------------------------------------------------------------------
 # which tables take the columnar path
 
 @pytest.mark.parametrize("text", [
@@ -279,7 +306,12 @@ FILLER = b"".join(b"a,0.%d\n" % i for i in range(3000))  # past csv.reader's fir
     (b"group,pvalue\na,zz\n" + FILLER + b"a,0.5\xff\n", ":2: bad pvalue 'zz'"),
     (b"group,pvalue\na,0.5\n\xff,0.1\n" + FILLER + b"a,zz\n", ":3: byte 0xff is not UTF-8"),
     (b"group,pvalue\n" + FILLER + b"\xe9,0.1\n", ":3002: byte 0xe9 is not UTF-8"),
-], ids=["bad row, then a late bad byte", "bad byte, then a late bad row", "late bad byte"])
+    (b"group,pvalue\na,zz\na,0.\xff5\n", ":2: bad pvalue 'zz'"),
+    (b"id,group,pvalue\n1,a,notanumber\n2,a,0.5\n3,a,0.\xff5\n", ":2: bad pvalue 'notanumber'"),
+    (b'group,pvalue\n"a",0.5\na,1.5\n\xff,0.1\n', ":3: pvalue 1.5 outside [0, 1]"),
+], ids=["bad row, then a late bad byte", "bad byte, then a late bad row", "late bad byte",
+        "bad row, then a bad byte", "bad row, then a bad byte three columns",
+        "quoted, bad row, then a bad byte"])
 def test_adjust_reports_a_bad_row_or_byte_in_file_order(tmp_path, data, err):
     path = tmp_path / "in.csv"
     path.write_bytes(data)
@@ -304,7 +336,7 @@ def test_adjust_skips_a_leading_byte_order_mark(tmp_path, text, unquoted):
     plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
     plain.write_bytes(text.encode("utf-8"))
     marked.write_bytes(BOM + text.encode("utf-8"))
-    assert cli._read_pvalue_table(str(marked), need_group=True)[4] is unquoted
+    assert cli._read_pvalue_table(str(marked), need_group=True)[3] is unquoted
     for procedure, lam, alpha in RUNS[:3]:
         for out in (None, str(tmp_path / "out.csv")):
             want = assert_same(str(plain), procedure, lam, alpha, out)

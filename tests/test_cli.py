@@ -547,6 +547,17 @@ def test_simulate_config_not_utf8_names_path_and_line(capsys, tmp_path, ending):
     assert f"{cfg}:4: byte 0xe9 is not UTF-8" in err
     assert "Traceback" not in err
 
+@pytest.mark.parametrize("data, err", [
+    (b"m=abc\nrho=0.\xe91\n",
+     ":1: bad value for 'm': invalid literal for int() with base 10: 'abc'"),
+    (b"m=20\nrho=0.\xe91\nm=abc\n", ":2: byte 0xe9 is not UTF-8"),
+], ids=["bad value, then a bad byte", "bad byte, then a bad value"])
+def test_simulate_config_reports_errors_in_file_order(capsys, tmp_path, data, err):
+    cfg = tmp_path / "campaign.cfg"
+    cfg.write_bytes(data)
+    assert run_cli(capsys, "simulate", "--config", str(cfg)) == (EXIT_INPUT, "",
+                                                                 f"error: {cfg}{err}\n")
+
 def test_simulate_config_skips_a_leading_byte_order_mark(capsys, tmp_path):
     cfg = tmp_path / "campaign.cfg"
     text = "m = 20\ngroup_sizes = 10,10\nnonnull_counts = 0,0\nreplications = 40\n"
@@ -719,6 +730,69 @@ def test_adjust_blank_lines_ignored(capsys, tmp_path):
                          "--lambda", "0.5", "--alpha", "0.1")
     assert rc == EXIT_OK
     assert len(out.splitlines()) == 5
+
+
+# ---------------------------------------------------------------------------
+# input files: each is read once, so a pipe or FIFO serves as well as a file
+
+def _run_on_a_file_then_a_fifo(capsys, path, data, argv):
+    """main(argv) with data in a regular file at path, then with path a FIFO
+    that a writer thread fills with data once: (exit code, stdout, stderr) of
+    each run, and whether the FIFO run was still blocked after 10 s."""
+    path.write_bytes(data)
+    want = run_cli(capsys, *argv)
+    path.unlink()
+    os.mkfifo(path)
+
+    def write():
+        with contextlib.suppress(OSError), open(path, "wb") as fh:
+            fh.write(data)
+
+    codes = []
+    writer = threading.Thread(target=write, daemon=True)
+    run = threading.Thread(target=lambda: codes.append(main(list(argv))), daemon=True)
+    writer.start()
+    run.start()
+    run.join(timeout=10)
+    hung = run.is_alive()
+    if hung:  # waiting in a second open for a writer that has gone: release it
+        with contextlib.suppress(OSError):
+            os.close(os.open(path, os.O_WRONLY | os.O_NONBLOCK))
+        run.join(timeout=10)
+    if writer.is_alive():  # the FIFO was never opened for reading
+        os.close(os.open(path, os.O_RDONLY | os.O_NONBLOCK))
+        writer.join(timeout=10)
+    captured = capsys.readouterr()
+    return want, (*codes, captured.out, captured.err), hung
+
+FIFO_TABLES = {
+    "plain": b"id,group,pvalue\n1,a,0.01\n2,a,0.5\n3,b,0.03\n",
+    "quoted": b'id,group,pvalue\n1,a,0.01\n2,"a",0.5\n3,b,0.03\n',
+    "crlf": b"id,group,pvalue\r\n1,a,0.01\r\n2,a,0.5\r\n3,b,0.03\r\n",
+    "bad row": b"id,group,pvalue\n1,a,0.01\n2,a,x\n3,b,0.03\n",
+    "bad byte": b"id,group,pvalue\n1,a,0.01\n2,\xe9,0.5\n3,b,0.03\n",
+}
+
+@pytest.mark.parametrize("table", FIFO_TABLES)
+def test_adjust_reads_a_fifo_as_it_reads_a_file(capsys, tmp_path, table):
+    path = tmp_path / "in.csv"
+    want, got, hung = _run_on_a_file_then_a_fifo(capsys, path, FIFO_TABLES[table],
+                                                 ["adjust", "--input", str(path)])
+    assert not hung
+    assert got == want
+    assert want[0] == (EXIT_OK if "bad" not in table else EXIT_INPUT)
+
+@pytest.mark.parametrize("data, err", [
+    (b"m = 20\ngroup_sizes = 10,10\nnonnull_counts = 0,0\nreplications = 40\n", ""),
+    (b"m = 20\nseed = 5 # caf\xe9\n", "error: {}:2: byte 0xe9 is not UTF-8\n"),
+], ids=["good", "bad byte"])
+def test_simulate_reads_a_fifo_config_as_it_reads_a_file(capsys, tmp_path, data, err):
+    path = tmp_path / "campaign.cfg"
+    want, got, hung = _run_on_a_file_then_a_fifo(capsys, path, data,
+                                                 ["simulate", "--config", str(path)])
+    assert not hung
+    assert got == want
+    assert want[2] == err.format(path)
 
 
 # ---------------------------------------------------------------------------
