@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -85,6 +86,11 @@ def rho_max() -> float:
     return 1.0 - 1.0 / (a_star * a_star)
 
 
+def _alpha_in_domain(alpha: float) -> bool:
+    """alpha in (0, 1) and normal: a subnormal alpha leaves each term few bits."""
+    return sys.float_info.min <= alpha < 1.0
+
+
 def check_point(lam: float, rho: float, alpha: float, *,
                 allow_out_of_domain: bool = False,
                 override: str | None = "the out-of-domain override") -> None:
@@ -92,8 +98,10 @@ def check_point(lam: float, rho: float, alpha: float, *,
     (lam, rho, alpha): alpha is checked first, then rho, then lambda.  A
     refused lambda's message tells how to pass the override, named by
     override, or names none when override is None."""
-    if not (0.0 < alpha < 1.0):
-        raise DomainError("alpha", f"alpha={alpha} outside (0, 1)")
+    if not _alpha_in_domain(alpha):
+        raise DomainError("alpha", f"alpha={alpha} is below the smallest normal float "
+                          f"{sys.float_info.min!r}" if 0.0 < alpha < 1.0
+                          else f"alpha={alpha} outside (0, 1)")
     cap = rho_max()
     if not (0.0 < rho < cap):
         # Past the cubic root the closed form takes square roots of
@@ -126,7 +134,7 @@ def _upper_quantile(lam):
 
 def in_theorem_domain(lam: float, rho: float, alpha: float) -> bool:
     """True iff (lam, rho, alpha) lies inside the guaranteed-domain box."""
-    return (0.0 < alpha < 1.0) and (0.0 < rho < rho_max()) and (0.0 < lam <= 0.5)
+    return _alpha_in_domain(alpha) and (0.0 < rho < rho_max()) and (0.0 < lam <= 0.5)
 
 
 def _finite_x0(x0) -> float:

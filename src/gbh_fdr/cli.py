@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import importlib
 import json
 import math
 import os
@@ -22,13 +23,28 @@ import stat
 import sys
 from itertools import compress, islice, repeat
 
-import numpy as np
+from . import PROCEDURES, ConfigError
 
-from .bound import (BoundInput, check_point, curve_points, fdr_bound, fdr_bound_aform,
-                    in_theorem_domain)
-from .procedures import GroupedPValues, bh_step_up, gbh1, storey
-from .simulator import ConfigError, PROCEDURES, SimConfig, config_with_updates, run_mc
-from . import verify as verify_mod
+# Where each engine name that the subcommands read comes from: (module,
+# attribute), None for the module itself.  None is imported with this module:
+# main binds those of the subcommand's module (its parser's engine default),
+# and __getattr__ any name read from outside, so --help loads no numpy.
+# Functions that callers may reach without main import numpy themselves.
+_ENGINE = {name: (module, name) for module, names in (
+    (".bound", "BoundInput check_point curve_points fdr_bound fdr_bound_aform in_theorem_domain"),
+    (".procedures", "GroupedPValues bh_step_up gbh1 storey"),
+    (".simulator", "SimConfig config_with_updates run_mc")) for name in names.split()}
+_ENGINE["verify_mod"] = (".verify", None)
+
+
+def __getattr__(name: str):
+    """An engine name, imported on first access and kept as a global."""
+    if name not in _ENGINE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module, attr = _ENGINE[name]
+    module = importlib.import_module(module, __package__)
+    globals()[name] = module if attr is None else getattr(module, attr)
+    return globals()[name]
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -39,6 +55,10 @@ EXIT_IO = 3
 # rhos, may hold.  It is checked before the points are built or evaluated, so
 # a mistyped step exits 2 instead of filling memory.
 GRID_MAX_POINTS = 100_000
+
+# The longest config file read, far above any real one: a file past it, such
+# as /dev/zero, is refused instead of read until memory runs out.
+CONFIG_MAX_BYTES = 65536
 
 # Label attached to JSON output when a campaign ran on the built-in desk
 # defaults; those defaults are this package's choices, not derived values.
@@ -199,20 +219,26 @@ def flag_updates(values: dict) -> dict:
 _LINE = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
 
 
-def _read_utf8(path) -> tuple:
-    """(text, error): path read once and decoded as UTF-8, a leading
-    byte-order mark skipped.  error is None, or the ConfigError naming the
-    path:line of the first byte that is not UTF-8; text then holds only the
-    lines before that byte's line."""
+def _read_utf8(path, limit: int = -1) -> tuple:
+    """(text, error): path read once, up to one byte past limit if there is
+    one, and decoded as UTF-8, a leading byte-order mark skipped.  error is
+    None, or the ConfigError naming the path:line of the first byte that is
+    not UTF-8 or past limit; text then holds only the lines before its line."""
     with open(path, "rb") as fh:
-        data = fh.read()
+        data = fh.read(limit + 1 if limit >= 0 else -1)
+    problem = None
+    if len(data) > limit >= 0:  # cut at a line end, which is never inside a character
+        data = data[:max(data.rfind(b"\n", 0, limit), data.rfind(b"\r", 0, limit)) + 1]
+        problem = f"more than {limit} bytes"
     try:
-        return data.decode("utf-8").removeprefix("\ufeff"), None
+        text = data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:  # utf-8-sig's offset would leave out the mark
-        head = data[:exc.start].decode("utf-8").removeprefix("\ufeff")
-        text = head[:max(head.rfind("\n"), head.rfind("\r")) + 1]
-        line = len(_LINE.findall(text)) + 1
-        return text, ConfigError(f"{path}:{line}: byte 0x{data[exc.start]:02x} is not UTF-8")
+        text = data[:exc.start].decode("utf-8").removeprefix("\ufeff")
+        problem = f"byte 0x{data[exc.start]:02x} is not UTF-8"
+    if problem is None:
+        return text, None
+    text = text[:max(text.rfind("\n"), text.rfind("\r")) + 1]
+    return text, ConfigError(f"{path}:{len(_LINE.findall(text)) + 1}: {problem}")
 
 
 def _lines(text: str, error):
@@ -226,7 +252,7 @@ def _lines(text: str, error):
 def load_config_file(path) -> dict:
     """Parse a flat key=value file ('#' starts a comment) into field updates."""
     updates = {}
-    for lineno, line in enumerate(_lines(*_read_utf8(path)), start=1):
+    for lineno, line in enumerate(_lines(*_read_utf8(path, CONFIG_MAX_BYTES)), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -343,6 +369,7 @@ def _split_columns(text: str, need_group: bool):
     every comma, read column by column; None when it might not (a quote, a
     carriage return or a NUL in the text, or a line longer than a field may
     be) or when _read_csv_rows would report an error."""
+    import numpy as np
     if not text or '"' in text or "\r" in text or "\0" in text:
         return None
     lines = text.split("\n")
@@ -380,6 +407,7 @@ def _read_pvalue_table(path, need_group: bool) -> tuple:
     is read once (a pipe serves), a leading byte-order mark skipped; a table
     the columnar path declines goes through csv.reader over the decoded text.
     Errors come in file order, with 1-based physical line numbers."""
+    import numpy as np
     text, error = _read_utf8(path)
     if error is None and (table := _split_columns(text, need_group)) is not None:
         return (*table, True)
@@ -410,6 +438,7 @@ def _write_table(fh, header: list, rows, unquoted: bool) -> None:
 
 
 def cmd_adjust(args) -> int:
+    import numpy as np
     _check_destination(args.out)
     need_group = args.procedure == "gbh1"
     cols, columns, p, unquoted = _read_pvalue_table(args.input, need_group)
@@ -438,8 +467,9 @@ _SECTION_RUNNERS = {
     "integrals": lambda args: verify_mod.run_integrals_section(),
     "m_bound": lambda args: verify_mod.run_m_bound_section(),
     "mvt": lambda args: verify_mod.run_mvt_section(),
-    "lemmas": lambda args: verify_mod.run_lemmas_section(seed=args.seed,
-                                                         replications=args.reps),
+    # Only the flags given are passed: the section's own defaults are SimConfig's.
+    "lemmas": lambda args: verify_mod.run_lemmas_section(
+        **{key: value for key, value in vars(args).items() if key in ("seed", "replications")}),
 }
 
 
@@ -477,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also print the a-parameterized evaluation")
     b.add_argument("--force", action="store_true",
                    help="allow lambda in (1/2, 1) outside the guarantee domain")
-    b.set_defaults(fn=cmd_bound)
+    b.set_defaults(fn=cmd_bound, engine=".bound")
 
     c = sub.add_parser("curve", help="export bound curves over a (lambda, rho) grid as CSV")
     c.add_argument("--lambdas", default="0.05:0.5:0.05",
@@ -486,7 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list or start:stop:step (default 0.005..0.335)")
     c.add_argument("--alpha", type=float, default=0.05)
     c.add_argument("--out", required=True)
-    c.set_defaults(fn=cmd_curve)
+    c.set_defaults(fn=cmd_curve, engine=".bound")
 
     s = sub.add_parser("simulate", help="run a Monte Carlo campaign")
     s.add_argument("--config", default=None, help="flat key=value config file")
@@ -496,7 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--threads", type=int, default=1,
                    help="accepted for compatibility; replications run in one thread")
     s.add_argument("--log", default=None, help="append a CSV summary line to this file")
-    s.set_defaults(fn=cmd_simulate)
+    s.set_defaults(fn=cmd_simulate, engine=".simulator")
 
     a = sub.add_parser("adjust", help="weight and test a CSV of p-values")
     a.add_argument("--input", required=True, help="CSV with a pvalue column "
@@ -505,15 +535,15 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--alpha", type=float, default=0.05)
     a.add_argument("--procedure", choices=PROCEDURES, default="gbh1")
     a.add_argument("--out", default=None, help="write CSV here instead of stdout")
-    a.set_defaults(fn=cmd_adjust)
+    a.set_defaults(fn=cmd_adjust, engine=".procedures")
 
     v = sub.add_parser("verify", help="run numerical audits")
     v.add_argument("--section", choices=(*_SECTION_RUNNERS, "all"), required=True)
-    v.add_argument("--seed", type=int, default=SimConfig.seed)
-    v.add_argument("--reps", type=int, default=SimConfig.replications,
-                   help="Monte Carlo replications for the lemmas section")
+    v.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    v.add_argument("--reps", type=int, default=argparse.SUPPRESS, dest="replications",
+                   metavar="REPS", help="Monte Carlo replications for the lemmas section")
     v.add_argument("--out", default=None, help="write the JSON reports here")
-    v.set_defaults(fn=cmd_verify)
+    v.set_defaults(fn=cmd_verify, engine=".verify")
     return ap
 
 
@@ -524,6 +554,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on bad usage, which matches the input-error code.
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
+    for name, (module, _) in _ENGINE.items():  # a name bound already, as by a patch, stays
+        if module == args.engine and name not in globals():
+            __getattr__(name)
     try:
         return args.fn(args)
     except ValueError as exc:  # DomainError and ConfigError among them

@@ -31,11 +31,10 @@ from typing import Optional, Union
 
 import numpy as np
 
+from . import PROCEDURES, ConfigError
 from .bound import BoundInput, _finite_x0, fdr_bound, in_theorem_domain
 from .normal import _scratch, _work, norm_quantile, norm_sf
 from .procedures import GroupedPValues, RejectionResult, bh_step_up, gbh1, storey
-
-PROCEDURES = ("gbh1", "storey", "bh")
 
 _P_FLOOR = 1e-300
 _P_CEIL = float(np.nextafter(1.0, 0.0))
@@ -47,10 +46,6 @@ _BLOCK_ELEMENTS = 2 ** 15
 # The most elements one array of a campaign or audit may hold: 128 MiB as
 # float64.  Sizes are checked against it before anything is allocated.
 _MAX_ARRAY_ELEMENTS = 2 ** 24
-
-
-class ConfigError(ValueError):
-    """Invalid simulation configuration."""
 
 
 def _not_bool(name: str, value):

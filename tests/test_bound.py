@@ -7,6 +7,7 @@ rewrites used in the implementation.
 """
 
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -349,6 +350,25 @@ def test_bound_alpha_validation():
         with pytest.raises(DomainError) as e:
             fdr_bound(BoundInput(0.5, 0.1, bad))
         assert e.value.constraint == "alpha"
+
+@pytest.mark.parametrize("alpha", [5e-324, 1e-320, math.ulp(0.0) * 2 ** 51])
+def test_a_subnormal_alpha_is_refused_by_one_rule(alpha):
+    # Every term is scaled by alpha*(1-lambda): below the smallest normal
+    # float it would keep a few significant bits, and the ratio would drift.
+    assert 0.0 < alpha < sys.float_info.min
+    message = rf"^alpha={alpha!r} is below the smallest normal float 2\.2250738585072014e-308$"
+    for evaluate in (lambda: bound.check_point(0.5, 0.1, alpha),
+                     lambda: fdr_bound(BoundInput(0.5, 0.1, alpha)),
+                     lambda: fdr_bound_aform(BoundInput(0.5, 0.1, alpha)),
+                     lambda: bound_curve([0.5], [0.1], alpha)):
+        with pytest.raises(DomainError, match=message) as refused:
+            evaluate()
+        assert refused.value.constraint == "alpha"
+    assert not in_theorem_domain(0.5, 0.1, alpha)
+    smallest = sys.float_info.min
+    assert in_theorem_domain(0.5, 0.1, smallest)
+    assert fdr_bound(BoundInput(0.5, 0.1, smallest)).total / smallest == pytest.approx(
+        fdr_bound(BoundInput(0.5, 0.1, 0.05)).total / 0.05, rel=1e-14)
 
 def test_in_theorem_domain_flag():
     assert in_theorem_domain(0.5, 0.1, 0.05)

@@ -39,6 +39,15 @@ def run_cli(capsys, *argv):
     return rc, captured.out, captured.err
 
 
+def _fresh_python(*args, timeout=120):
+    """A fresh interpreter on this package's sources, which has loaded none of
+    the modules that the test process holds."""
+    src = str(Path(gbh_fdr.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=timeout)
+
 # ---------------------------------------------------------------------------
 # exit-code constants
 
@@ -325,6 +334,23 @@ def test_a_refused_lambda_names_the_commands_own_override(capsys, tmp_path, argv
     assert run_cli(capsys, *argv, *extra) == (EXIT_INPUT, "", err)
     assert not (tmp_path / "c.csv").exists()
 
+@pytest.mark.parametrize("command", ["bound", "curve", "simulate"])
+def test_a_subnormal_alpha_is_refused_or_runs_without_a_bound(capsys, tmp_path, command):
+    # The bound refuses it; a campaign, which asks in_theorem_domain and so
+    # applies the same rule, attaches no bound instead of failing after its loop.
+    args = {"bound": ("--lambda", "0.5", "--rho", "0.1"),
+            "curve": ("--lambdas", "0.1", "--rhos", "0.1", "--out", str(tmp_path / "c.csv")),
+            "simulate": ("--m", "20", "--group-sizes", "10,10", "--nonnull-counts", "2,0",
+                         "--replications", "20")}
+    rc, out, err = run_cli(capsys, command, *args[command], "--alpha", "1e-320")
+    if command == "simulate":
+        assert (rc, err) == (EXIT_OK, "")
+        assert json.loads(out)["bound_value"] is None
+    else:
+        assert (rc, out, err) == (EXIT_INPUT, "", "error: alpha=1e-320 is below the smallest "
+                                                  "normal float 2.2250738585072014e-308\n")
+        assert not (tmp_path / "c.csv").exists()
+
 def test_curve_writes_the_rows_of_bound_curve(capsys, tmp_path):
     out_path = tmp_path / "c.csv"
     rc, _, _ = run_cli(capsys, "curve", "--lambdas", "0.05,0.3,0.5",
@@ -546,6 +572,29 @@ def test_simulate_config_not_utf8_names_path_and_line(capsys, tmp_path, ending):
     assert (rc, out) == (EXIT_INPUT, "")
     assert f"{cfg}:4: byte 0xe9 is not UTF-8" in err
     assert "Traceback" not in err
+
+def test_simulate_config_past_its_size_cap_is_refused(capsys, tmp_path):
+    # /dev/zero never ends: without the cap it is read until memory runs out.
+    done = _fresh_python("-m", "gbh_fdr.cli", "simulate", "--config", "/dev/zero", timeout=60)
+    assert (done.returncode, done.stdout) == (EXIT_INPUT, "")
+    assert done.stderr == f"error: /dev/zero:1: more than {cli.CONFIG_MAX_BYTES} bytes\n"
+    # A file of exactly the cap is read; one byte more is refused at the line
+    # that crosses it, unless an earlier line holds an error.
+    cfg = tmp_path / "padded.cfg"
+    head = b"m = 20\ngroup_sizes = 10,10\nnonnull_counts = 0,0\nreplications = 20\n"
+    padding = b"#" * 99 + b"\n"
+    body = head + padding * ((cli.CONFIG_MAX_BYTES - len(head)) // 100)
+    body += b"#" * (cli.CONFIG_MAX_BYTES - len(body) - 1) + b"\n"
+    assert len(body) == cli.CONFIG_MAX_BYTES
+    cfg.write_bytes(body)
+    assert run_cli(capsys, "simulate", "--config", str(cfg))[0] == EXIT_OK
+    cfg.write_bytes(body + b"\n")
+    line = body.count(b"\n") + 1
+    assert run_cli(capsys, "simulate", "--config", str(cfg)) == (
+        EXIT_INPUT, "", f"error: {cfg}:{line}: more than {cli.CONFIG_MAX_BYTES} bytes\n")
+    cfg.write_bytes(b"m = abc\n" + body)
+    rc, _, err = run_cli(capsys, "simulate", "--config", str(cfg))
+    assert (rc, err.startswith(f"error: {cfg}:1: bad value for 'm'")) == (EXIT_INPUT, True)
 
 @pytest.mark.parametrize("data, err", [
     (b"m=abc\nrho=0.\xe91\n",
@@ -1239,12 +1288,23 @@ def test_choices_come_from_their_tables(capsys, argv, choices):
     listed = err.rsplit("choose from", 1)[1]
     assert re.findall(r"\w+", listed) == list(choices)
 
-def test_verify_defaults_are_the_simulation_defaults():
-    args = cli.build_parser().parse_args(["verify", "--section", "lemmas"])
-    params = inspect.signature(verify.run_lemmas_section).parameters
-    assert args.seed == params["seed"].default == simulator.SimConfig.seed == 20260822
-    assert (args.reps == params["replications"].default == simulator.SimConfig.replications
-            == 20000)
+def test_verify_defaults_are_the_simulation_defaults(capsys, monkeypatch):
+    # The flags' defaults are the section's own, which are SimConfig's: an
+    # absent flag passes nothing, and a given one passes its value.
+    assert (simulator.SimConfig.seed, simulator.SimConfig.replications) == (20260822, 20000)
+    lemmas, called = verify.run_lemmas_section, []
+
+    def record(*args, **kwargs):
+        bound = inspect.signature(lemmas).bind(*args, **kwargs)
+        bound.apply_defaults()
+        called.append(dict(bound.arguments))
+        return verify.SectionResult(reports=[])
+    monkeypatch.setattr(verify, "run_lemmas_section", record)
+    for flags in ((), ("--seed", "7", "--reps", "300")):
+        rc, _, _ = run_cli(capsys, "verify", "--section", "lemmas", *flags)
+        assert rc == EXIT_OK
+    assert called == [{"seed": 20260822, "replications": 20000},
+                      {"seed": 7, "replications": 300}]
 
 # sha256 of the bytes `verify --section all --reps 400 --seed 7 --out` writes:
 # a change to an audit kernel that moves one bit of any report changes it
@@ -1308,6 +1368,90 @@ def test_scalar_subcommands_never_import_scipy(tmp_path):
     ]
 
 
+LOAD_PROBE = r"""
+import contextlib, io, sys
+
+from gbh_fdr import cli
+tmp = sys.argv[1]
+with open(tmp + "/p.csv", "w") as fh:
+    fh.write("pvalue,group\n0.01,a\n0.2,a\n0.6,b\n")
+runs = [
+    ["--help"],
+    ["adjust", "--help"],
+    ["bound", "--lambda", "0.5", "--alpha", "0.05"],
+    ["bound", "--lambda", "0.5", "--rho", "0.1", "--alpha", "0.05", "--aform"],
+    ["curve", "--lambdas", "0.1,0.5", "--rhos", "0.05:0.1:0.05", "--out", tmp + "/c.csv"],
+    ["adjust", "--input", tmp + "/p.csv"],
+    ["simulate", "--m", "20", "--group-sizes", "10,10", "--nonnull-counts", "0,0",
+     "--rho", "0.1", "--replications", "20"],
+    ["verify", "--section", "integrals"],
+]
+for argv in runs:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        rc = cli.main(argv)
+    loaded = sorted(m[8:] for m in sys.modules if m.startswith("gbh_fdr."))
+    print(" ".join(argv[:2]), rc, "numpy" in sys.modules, *loaded)
+"""
+
+def test_each_start_up_loads_only_what_its_subcommand_calls(tmp_path):
+    # The runs share one interpreter, in this order, so each line also holds
+    # what every run before it loaded.
+    done = _fresh_python("-c", LOAD_PROBE, str(tmp_path))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "--help 0 False cli",
+        "adjust --help 0 False cli",
+        "bound --lambda 2 False cli",  # a usage error: --rho is missing
+        "bound --lambda 0 True bound cli normal",
+        "curve --lambdas 0 True bound cli normal",
+        "adjust --input 0 True bound cli normal procedures",
+        "simulate --m 0 True bound cli normal procedures simulator",
+        # the audit loads every module, so the checks above are not vacuous
+        "verify --section 0 True bound cli normal procedures simulator verify",
+    ]
+    # The benchmark's set-up run: `python -m gbh_fdr.cli --help` loads no numpy.
+    done = _fresh_python("-X", "importtime", "-m", "gbh_fdr.cli", "--help")
+    assert done.returncode == 0 and done.stdout.startswith("usage: gbh-fdr")
+    imported = {line.rsplit("|", 1)[1].strip() for line in done.stderr.splitlines()
+                if line.startswith("import time:") and "|" in line}
+    assert "gbh_fdr" in imported and not {"numpy", "gbh_fdr.bound"} & imported
+
+ROOT_PROBE = r"""
+import importlib, sys
+
+import gbh_fdr
+print("numpy" in sys.modules)
+homes = {}
+for name in gbh_fdr.__all__:
+    obj = getattr(gbh_fdr, name)
+    home = importlib.import_module(obj.__module__)
+    if getattr(home, name) is not obj:
+        homes[name] = obj.__module__
+print(homes)
+print(not {"__all__", *gbh_fdr.__all__} - set(dir(gbh_fdr)))
+namespace = {}
+exec("from gbh_fdr import *", namespace)
+print(sorted(set(gbh_fdr.__all__) - set(namespace)))
+try:
+    gbh_fdr.no_such_name
+except AttributeError as exc:
+    print(exc)
+"""
+
+def test_package_root_loads_each_name_on_first_access():
+    # In a fresh interpreter, so each name is reached through the module's
+    # __getattr__ and not through a cached global.
+    done = _fresh_python("-c", ROOT_PROBE)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "False",  # import gbh_fdr loads no numpy
+        "{}",  # each name is the object its defining module holds
+        "True",  # dir() lists __all__ and each public name
+        "[]",  # import * binds every name
+        "module 'gbh_fdr' has no attribute 'no_such_name'",
+    ]
+
+
 # ---------------------------------------------------------------------------
 # the benchmark's tracer
 
@@ -1318,6 +1462,33 @@ def _load_tracing():
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
     return tracing
+
+TRACED_PROBE = r"""
+import contextlib, importlib.util, io, sys
+
+spec = importlib.util.spec_from_file_location("perfbench_tracing", sys.argv[1])
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+from gbh_fdr import cli
+tracer = tracing.Tracer()
+tracer.install()
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = cli.main(sys.argv[2:])
+tracer.uninstall()
+print(rc, tracer.layer_totals()["calls"]["bound"])
+"""
+
+@pytest.mark.parametrize("argv, calls", [
+    (("bound", "--lambda", "0.5", "--rho", "0.1", "--alpha", "0.05"), 1),
+    (("curve", "--lambdas", "0.1,0.5", "--rhos", "0.05,0.1,0.2", "--out", "{tmp}/c.csv"), 6),
+], ids=["bound", "curve"])
+def test_a_patch_made_before_the_first_command_counts_every_call(tmp_path, argv, calls):
+    # main binds the names its subcommand reads, and never over a patch: the
+    # tracer's wrappers, put on the module before any command ran, stay.
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    done = _fresh_python("-c", TRACED_PROBE, str(TRACING), *argv)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == f"0 {calls}\n"
 
 def test_benchmark_tracer_patches_and_restores_every_name(capsys):
     # perfbench/tracing.py patches names where the package looks them up;
@@ -1442,6 +1613,9 @@ def test_cli_imports_no_private_name_from_the_package():
                if isinstance(node, ast.ImportFrom)
                and (node.level > 0 or (node.module or "").startswith("gbh_fdr"))
                for alias in node.names if alias.name.startswith("_")]
+    # The names it imports on first use, as well as those it imports at once.
+    private += [f"{module}.{attr}" for module, attr in cli._ENGINE.values()
+                if (attr or "").startswith("_")]
     assert private == []
 
 def test_package_modules_use_every_name_they_import():
