@@ -67,7 +67,9 @@ DEFAULTS_SOURCE = "builtin-defaults"
 
 def _grid(spec: str, name: str) -> list:
     """Parse '0.05:0.5:0.05' (inclusive range) or '0.1,0.2,0.3'.  name, the
-    flag the spec came from, leads every error."""
+    flag the spec came from, leads every error.  A range holds each
+    start + i*step up to stop, computed exactly in decimal on the shortest
+    digits of start, stop and step, and rounded to float once."""
     spec = spec.strip()
 
     def number(v: str) -> float:
@@ -88,9 +90,12 @@ def _grid(spec: str, name: str) -> list:
         span = (stop - start) / step  # inf when stop - start overflows
         if not span < GRID_MAX_POINTS - 0.5:  # round(span) + 1 points
             raise ValueError(f"{name} {spec!r} has more than {GRID_MAX_POINTS} points")
-        n = int(round(span))
-        vals = [round(start + i * step, 12) for i in range(n + 1)]
-        return [v for v in vals if v <= stop + 1e-12]
+        import decimal
+        # At MAX_PREC no sum of these short decimals is rounded.
+        with decimal.localcontext(decimal.Context(prec=decimal.MAX_PREC)):
+            start, stop, step = (decimal.Decimal(repr(v)) for v in (start, stop, step))
+            vals = (start + i * step for i in range(int(round(span)) + 1))
+            return [float(v) for v in vals if v <= stop]
     vals = [number(v) for v in spec.split(",") if v.strip() != ""]
     if not vals:
         raise ValueError(f"{name} {spec!r}: no values")
@@ -273,12 +278,8 @@ def load_config_file(path) -> dict:
 
 def summary_json_dict(summary, config_source: str = DEFAULTS_SOURCE) -> dict:
     """A SimSummary as a fixed-key-order JSON dict; floats keep full repr precision."""
-    config = {}
-    for key, (field, _) in _CONFIG_KEYS.items():
-        value = getattr(summary.config, field)
-        config[key] = list(value) if isinstance(value, tuple) else value
     return {
-        "config": config,
+        "config": {key: getattr(summary.config, field) for key, (field, _) in _CONFIG_KEYS.items()},
         "config_source": config_source,
         "defaults_note": "default campaign settings are this package's desk-scale choices",
         "replications_run": summary.replications_run,
@@ -438,7 +439,6 @@ def _write_table(fh, header: list, rows, unquoted: bool) -> None:
 
 
 def cmd_adjust(args) -> int:
-    import numpy as np
     _check_destination(args.out)
     need_group = args.procedure == "gbh1"
     cols, columns, p, unquoted = _read_pvalue_table(args.input, need_group)
@@ -449,12 +449,12 @@ def cmd_adjust(args) -> int:
         res = storey(p, args.lam, args.alpha)
     else:
         res = bh_step_up(p, args.alpha)
-    rejected = np.zeros(p.size, dtype=bool)
-    rejected[np.asarray(res.rejected, dtype=np.intp)] = True
+    rejected = ["false"] * len(p)
+    for i in res.rejected:
+        rejected[i] = "true"
     keep = [i for i, c in enumerate(cols) if c not in ("weighted_pvalue", "rejected")]
     out_cols = [cols[i] for i in keep] + ["weighted_pvalue", "rejected"]
-    rows = zip(*(columns[j] for j in keep), map(repr, res.weighted_pvalues.tolist()),
-               map(("false", "true").__getitem__, rejected.tolist()))
+    rows = zip(*(columns[j] for j in keep), map(repr, res.weighted_pvalues.tolist()), rejected)
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as fh:
             _write_table(fh, out_cols, rows, unquoted)

@@ -49,9 +49,9 @@ _SCRATCH = threading.local()
 def _scratch():
     """Inside this context the array kernels of this thread take their work
     arrays from one set, a buffer per name grown to the largest call,
-    instead of new ones; the set is dropped on exit.  A sampling loop
-    enters it once, so that its blocks do not fault freshly mapped
-    temporaries in anew each time."""
+    instead of new ones; the set is dropped on exit.  Its one user is the
+    campaign loop, simulator._mc_loop, which enters it once so that its
+    blocks do not fault freshly mapped temporaries in anew each time."""
     saved = getattr(_SCRATCH, "bufs", None)
     _SCRATCH.bufs = {}
     try:

@@ -28,7 +28,7 @@ import numpy as np
 from .bound import (DomainError, _finite_x0, ab_from_rho, exact_p_conditional,
                     integrals_closed, m_factor, rho_max)
 # phi is unused here but stays: perfbench/tracing.py patches verify.phi.
-from .normal import SQRT_2PI, _scratch, norm_cdf, norm_quantile, phi
+from .normal import SQRT_2PI, norm_cdf, norm_quantile, phi
 from .procedures import GroupedPValues, gbh1
 from .simulator import (_MAX_ARRAY_ELEMENTS, SimConfig, _mix, check_se_replications,
                         mean_and_se, pvalues_from_sample, stream_uniforms)
@@ -212,10 +212,9 @@ def _conditional_pvalue_matrix(config: SimConfig, x0: float, tag: int) -> np.nda
         raise ValueError(f"replications x m = {config.replications} x {config.m} exceeds "
                          f"{_MAX_ARRAY_ELEMENTS} array elements")
     out = np.empty((config.replications, config.m))
-    with _scratch():
-        for u in stream_uniforms(config.seed, tag, out):
-            norm_quantile(u, out=u)
-            pvalues_from_sample(_mix(config, u, x0), out=u)
+    for u in stream_uniforms(config.seed, tag, out):
+        norm_quantile(u, out=u)
+        pvalues_from_sample(_mix(config, u, x0), out=u)
     return out
 
 

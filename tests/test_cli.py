@@ -262,6 +262,30 @@ def test_grid_point_cap_is_exact(monkeypatch):
     with pytest.raises(ValueError, match="has more than 11 points"):
         cli._grid("0:1.05:0.1", "--rhos")     # rounds to 12 points
 
+@pytest.mark.parametrize("spec, values", [
+    ("1e-14:1e-13:1e-14", ",".join(f"{i}e-14" for i in range(1, 10)) + ",1e-13"),
+    ("1e-13:1e-12:1e-13", ",".join(f"{i}e-13" for i in range(1, 10)) + ",1e-12"),
+    ("0.1:0.1000000000002:5e-14",
+     "0.1,0.10000000000005,0.1000000000001,0.10000000000015,0.1000000000002"),
+], ids=["1e-14", "1e-13", "near-0.1"])
+def test_a_fine_step_keeps_every_point_of_its_range(spec, values):
+    # Each point is start + i*step in exact decimals, so a step far below
+    # 1e-12 keeps its points apart and off 0.0.
+    grid = cli._grid(spec, "--rhos")
+    assert grid == cli._grid(values, "--rhos")
+    assert len(set(grid)) == len(grid) == values.count(",") + 1
+
+def test_a_fine_step_curve_writes_one_row_per_point(capsys, tmp_path):
+    out_path = tmp_path / "c.csv"
+    rc, _, err = run_cli(capsys, "curve", "--lambdas", "1e-14:1e-13:1e-14", "--rhos", "0.1",
+                         "--out", str(out_path))
+    assert (rc, err) == (EXIT_OK, "")
+    listed = tmp_path / "listed.csv"
+    run_cli(capsys, "curve", "--lambdas", ",".join(f"{i}e-14" for i in range(1, 11)),
+            "--rhos", "0.1", "--out", str(listed))
+    assert out_path.read_bytes() == listed.read_bytes()
+    assert out_path.read_bytes().count(b"\n") == 1 + 10
+
 def test_curve_grid_total_is_capped_before_evaluation(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "GRID_MAX_POINTS", 11)
     out_path = tmp_path / "c.csv"
@@ -1528,6 +1552,31 @@ def test_every_patched_name_is_read_by_its_module():
                    and isinstance(node.ctx, ast.Load) for node in ast.walk(tree)):
             unread.add((mod, name))
     assert unread - UNREAD_PATCHED_NAMES == set()
+
+def test_benchmark_outputs_at_seed_0_match_their_frozen_digests(capsys, monkeypatch, tmp_path):
+    # The benchmark's seed-0 jobs, built by perfbench/workloads.py and run in
+    # process, must write the bytes that perfbench/digests.json pins.  mc_B
+    # repeats mc_A with more threads, and the curve job's digest is checked
+    # by test_curve_bytes_are_frozen.
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  TRACING.parent / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    frozen = json.loads((TRACING.parent / "digests.json").read_text(encoding="utf-8"))
+    monkeypatch.chdir(TRACING.parent.parent)  # mc_A names its config relative to the root
+    checked = []
+    for name in ("mc_campaign", "adjust_table", "bound_grid"):
+        for job in workloads.BUILDERS[name](workloads.DEFAULT_SEED, tmp_path).jobs:
+            if job.name in ("mc_B", "curve"):
+                continue
+            rc, out, _ = run_cli(capsys, *job.argv)
+            primary = out.encode("utf-8") if job.output is None else Path(job.output).read_bytes()
+            assert rc == EXIT_OK, job.name
+            assert hashlib.sha256(primary).hexdigest() == frozen[name][job.name], job.name
+            checked.append(job.name)
+    assert checked == ["mc_A", "mc_C", "adjust", "adjust_rerun",
+                       *(f"bound_{k}" for k in range(workloads.BOUND_POINTS))]
 
 def _curve(tmp_path):
     return main(["curve", "--lambdas", "0.1,0.5", "--rhos", "0.05,0.1,0.2",
