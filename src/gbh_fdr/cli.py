@@ -21,7 +21,7 @@ import os
 import re
 import stat
 import sys
-from itertools import compress, islice, repeat
+from itertools import islice, repeat
 
 from . import PROCEDURES, ConfigError
 
@@ -224,13 +224,41 @@ def flag_updates(values: dict) -> dict:
 _LINE = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
 
 
+def _read_to_field_limit(fh) -> bytearray:
+    """fh's bytes to its end, or up to a field that csv.reader must refuse:
+    one still unfinished (no comma or line end since its start) after more
+    than 4 * csv.field_size_limit() bytes, when no quote has been read.  A
+    character takes at most 4 bytes, so the field is too long.  The cut falls
+    at a character boundary past those bytes and 3 more, for a leading
+    byte-order mark.  csv.reader then meets every earlier line and the same
+    error at the same line as in the whole input, unless a byte that is not
+    UTF-8 follows later on that line.  Endless short fields are still read
+    until memory runs out."""
+    cap = 4 * csv.field_size_limit()
+    data, start, quoted = bytearray(), 0, False
+    while block := fh.read(1 << 20):
+        end = max(map(block.rfind, b",\n\r"))
+        if end >= 0:
+            start = len(data) + end + 1
+        data += block
+        quoted = quoted or b'"' in block
+        cut = start + cap + 4
+        if not quoted and len(data) > cut + 3:  # the character at cut is read whole
+            while cut < len(data) and data[cut] & 0xC0 == 0x80:  # a continuation byte
+                cut += 1
+            del data[cut:]
+            break
+    return data
+
+
 def _read_utf8(path, limit: int = -1) -> tuple:
     """(text, error): path read once, up to one byte past limit if there is
-    one, and decoded as UTF-8, a leading byte-order mark skipped.  error is
-    None, or the ConfigError naming the path:line of the first byte that is
-    not UTF-8 or past limit; text then holds only the lines before its line."""
+    one, else as _read_to_field_limit reads it, and decoded as UTF-8, a
+    leading byte-order mark skipped.  error is None, or the ConfigError
+    naming the path:line of the first byte that is not UTF-8 or past limit;
+    text then holds only the lines before its line."""
     with open(path, "rb") as fh:
-        data = fh.read(limit + 1 if limit >= 0 else -1)
+        data = fh.read(limit + 1) if limit >= 0 else _read_to_field_limit(fh)
     problem = None
     if len(data) > limit >= 0:  # cut at a line end, which is never inside a character
         data = data[:max(data.rfind(b"\n", 0, limit), data.rfind(b"\r", 0, limit)) + 1]
@@ -369,26 +397,27 @@ def _split_columns(text: str, need_group: bool):
     """(header, columns, pvalues) of a table that csv.reader would split at
     every comma, read column by column; None when it might not (a quote, a
     carriage return or a NUL in the text, or a line longer than a field may
-    be) or when _read_csv_rows would report an error."""
+    be), when a row is blank, or when _read_csv_rows would report an error."""
     import numpy as np
     if not text or '"' in text or "\r" in text or "\0" in text:
         return None
-    lines = text.split("\n")
-    if max(map(len, lines)) > csv.field_size_limit():
+    rows = text.split("\n")
+    if not rows[-1]:  # what the text's final line end leaves
+        rows.pop()
+    if max(map(len, rows)) > csv.field_size_limit():
         return None
-    header = lines[0].split(",")
+    header = rows.pop(0).split(",")
     cols = [h.strip() for h in header]
     if "pvalue" not in cols or (need_group and "group" not in cols):
         return None
-    # A row of only whitespace and commas is blank and skipped, as in _read_csv_rows.
-    body = lines[1:]
-    rows = list(compress(body, map(str.strip, map(str.replace, body, repeat(","), repeat("")))))
+    # A blank row fails the comma count or the pvalue's parse: it is left to
+    # _read_csv_rows, which skips it.
     if not rows or set(map(str.count, rows, repeat(","))) != {len(header) - 1}:
         return None
     # Each name is dropped as soon as it is spent, so that the line strings,
     # the joined text and the flat field list are never all held at once.
     n, fields = len(rows), ",".join(rows)
-    del lines, body, rows
+    del rows
     fields = fields.split(",")
     columns = [fields[j::len(header)] for j in range(len(header))]
     del fields
@@ -443,7 +472,7 @@ def cmd_adjust(args) -> int:
     need_group = args.procedure == "gbh1"
     cols, columns, p, unquoted = _read_pvalue_table(args.input, need_group)
     if args.procedure == "gbh1":
-        labels = list(map(str.strip, columns[cols.index("group")]))
+        labels = map(str.strip, columns[cols.index("group")])
         res = gbh1(GroupedPValues.from_labels(p, labels), args.lam, args.alpha)
     elif args.procedure == "storey":
         res = storey(p, args.lam, args.alpha)

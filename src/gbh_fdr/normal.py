@@ -163,7 +163,7 @@ def _erfc_outer(a: np.ndarray) -> np.ndarray:
     y[sq > _MAXLOG] = 0.0
     y *= num
     y /= den
-    np.subtract(2.0, y, out=y, where=a < 0.0)
+    y = np.where(a < 0.0, 2.0 - y, y)
     y[np.isnan(a)] = np.nan
     return y
 
@@ -338,7 +338,11 @@ def norm_quantile(p, out=None):
     np.divide(step, dens, out=step, where=live)
     np.subtract(out, step, out=out, where=live)
 
-    np.negative(out, out=out, where=mirror)
+    # Mirror by an exact multiply by -1.0 or 1.0, held in q's buffer, free
+    # again; a masked negation costs about ten times as much.
+    sign = np.multiply(mirror, -2.0, out=_work("q", arr.shape))
+    sign += 1.0
+    out *= sign
     return out
 
 

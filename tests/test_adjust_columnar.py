@@ -234,7 +234,7 @@ def test_the_line_rule_splits_as_a_file_opened_with_newline_empty(text):
 @pytest.mark.parametrize("text", [
     "pvalue,group\n0.01,a\n0.2,b\n",
     "pvalue,group\n0.01,a\n0.2,b",                          # no final line end
-    "pvalue,group\n\n0.01,a\n  \n,\n\t, \n0.2,b\n\n",       # blank rows
+    "pvalue\n0.01\n0.2\n",                                   # one final line end
     " pvalue ,group,pvalue\n 0.5 ,,x\n1e-320, a ,y\n-0.0,a,z\n0.0_1,b,w\n",
     "id,pvalue\n1,0.5\n2,1\n",                               # no group column
     "pvalue,group\n0.5," + "g" * (LIMIT - 4) + "\n",         # a line at the limit
@@ -254,6 +254,7 @@ def test_unquoted_tables_are_read_by_column(text):
     "pvalue,group\n0.5,a,\n",                                # a wrong field count
     "pvalue,group\n0.5\n",
     "pvalue,group\n,\n\n",                                   # no data rows
+    "pvalue,group\n\n0.01,a\n  \n,\n\t, \n0.2,b\n\n",       # blank rows
     "pvalue,group\nx,a\n",
     "pvalue,group\nnan,a\n",
     "pvalue,group\ninf,a\n",
@@ -358,3 +359,39 @@ def test_adjust_names_the_line_after_a_byte_order_mark(tmp_path, data, err):
     for procedure, lam, alpha in RUNS[:3]:
         rc, stdout, stderr, _ = assert_same(str(path), procedure, lam, alpha)
         assert (rc, stdout, stderr) == (EXIT_INPUT, "", f"error: {path}{err}\n")
+
+
+# ---------------------------------------------------------------------------
+# a field too long for csv.reader ends the read a little past its limit
+
+CAP = 4 * LIMIT  # bytes that hold more characters than a field may
+
+
+@pytest.mark.parametrize("head, chars, err", [
+    (b"pvalue,group\n0.5,a\n0.5,", "g", ":3: field larger"),
+    (BOM, "\U0001f600", ":1: field larger"),
+    (b"pvalue,group\n0.5,a\n0.5,", "g\U0001f600", ":3: field larger"),
+    (b"pvalue,group\n0.5,a\nx,b\n0.5,", "\xe9", ":3: bad pvalue 'x'"),
+    (b"pvalue\n0.5\n", "\u3000", ":3: field larger"),
+    (b"pvalue,group\n0.5,a\n0.5,\xff", "g", ":3: byte 0xff is not UTF-8"),
+], ids=["ascii", "after a mark", "cut inside a character", "bad row first", "no comma",
+        "bad byte first"])
+def test_a_field_four_times_the_limit_ends_the_read(tmp_path, head, chars, err):
+    data = head + chars.encode() * (2 * CAP // len(chars.encode())) + b"\n0.5,\xff\nx,a\n"
+    path = tmp_path / "long.csv"
+    path.write_bytes(data)
+    with open(path, "rb") as fh:
+        read = cli._read_to_field_limit(fh)
+    assert data.startswith(read) and CAP < len(read) < len(data)
+    for procedure, lam, alpha in RUNS[1:3]:
+        rc, stdout, stderr, _ = assert_same(str(path), procedure, lam, alpha)
+        assert (rc, stdout) == (EXIT_INPUT, "") and stderr.startswith(f"error: {path}{err}")
+
+
+@pytest.mark.parametrize("data", [
+    b'pvalue,group\n"0.5",a\n0.5,' + b"g" * (2 * CAP),    # a quote read: never cut
+    b"pvalue,group\n" + b"0.5,a\n" * (CAP // 3),           # short lines only
+    b"pvalue,group\n0.5," + b"g" * CAP + b"\n",            # ends before the cut
+])
+def test_other_input_is_read_to_its_end(data):
+    assert cli._read_to_field_limit(io.BytesIO(data)) == data

@@ -7,6 +7,7 @@ byte determinism of primary outputs, and fixed JSON/CSV shapes.
 
 import ast
 import contextlib
+import csv
 import errno
 import hashlib
 import importlib
@@ -16,6 +17,7 @@ import json
 import math
 import os
 import re
+import resource
 import select
 import socket
 import subprocess
@@ -39,14 +41,14 @@ def run_cli(capsys, *argv):
     return rc, captured.out, captured.err
 
 
-def _fresh_python(*args, timeout=120):
+def _fresh_python(*args, timeout=120, **popen):
     """A fresh interpreter on this package's sources, which has loaded none of
-    the modules that the test process holds."""
+    the modules that the test process holds; popen goes to subprocess.run."""
     src = str(Path(gbh_fdr.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
-                          timeout=timeout)
+                          timeout=timeout, **popen)
 
 # ---------------------------------------------------------------------------
 # exit-code constants
@@ -596,6 +598,19 @@ def test_simulate_config_not_utf8_names_path_and_line(capsys, tmp_path, ending):
     assert (rc, out) == (EXIT_INPUT, "")
     assert f"{cfg}:4: byte 0xe9 is not UTF-8" in err
     assert "Traceback" not in err
+
+def test_adjust_input_that_never_ends_is_refused():
+    # /dev/zero is one line of NULs, one field that csv.reader refuses, and
+    # the read stops a little past it.  Should it not stop, the address-space
+    # cap, set for the child only, ends the run instead of the machine.
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    done = _fresh_python("-m", "gbh_fdr.cli", "adjust", "--input", "/dev/zero",
+                         timeout=60, preexec_fn=cap)
+    assert (done.returncode, done.stdout) == (EXIT_INPUT, "")
+    assert done.stderr == (f"error: /dev/zero:1: field larger than field limit "
+                           f"({csv.field_size_limit()})\n")
 
 def test_simulate_config_past_its_size_cap_is_refused(capsys, tmp_path):
     # /dev/zero never ends: without the cap it is read until memory runs out.

@@ -649,6 +649,25 @@ def test_kernels_reuse_their_work_arrays_across_calls(kernel, oracle):
     assert getattr(normal._SCRATCH, "bufs", None) is None
 
 
+@pytest.mark.parametrize("scoped", [False, True], ids=["new", "scratch"])
+def test_quantile_mirrors_bit_for_bit(scoped):
+    # For p = k/2^20 the complement 1 - p is exact, so norm_quantile(1 - p) is
+    # -norm_quantile(p) to the sign bit, as an array, a float and a 0-d
+    # array; at p = 1/2 both are +0.0.
+    k = np.arange(2 ** 20 + 1)
+    p = k[k != 2 ** 19] / 2 ** 20
+    bits = lambda x: np.asarray(x, dtype=float).tobytes()
+    with _scratch() if scoped else contextlib.nullcontext():
+        assert bits(norm_quantile(1.0 - p)) == bits(-norm_quantile(p))
+        for v in p[::4099]:
+            for arg in (float(v), np.array(v)):
+                assert bits(norm_quantile(1.0 - arg)) == bits(-norm_quantile(arg))
+        for form in (float, np.array, lambda v: np.array([v])):
+            assert bits(norm_quantile(form(0.5))) == bits(form(0.0))
+            assert bits(norm_quantile(form(0.0))) == bits(form(-np.inf))
+            assert bits(norm_quantile(form(1.0))) == bits(form(np.inf))
+
+
 def test_scratch_scopes_nest_and_drop_their_buffers():
     with _scratch():
         outer = normal._SCRATCH.bufs
